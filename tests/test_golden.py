@@ -1,0 +1,37 @@
+"""Golden SHA-256 hashes of CLI output.
+
+The hashes were taken from the per-point implementation; any change to the
+numerics or the CSV formatting that moves a single bit of output fails here.
+The +-2000 grid reaches the envelope where Boltzmann weights underflow; both
+grids contain the u = 0 and v = 0 tie lines.
+"""
+import hashlib
+
+import pytest
+
+from dipolepair.cli import run_cli
+
+ENVELOPE = ["--u", "-2000:2000:41", "--v", "-2000:2000:41"]
+LOCAL = ["--u", "-12:12:49", "--v", "-12:12:49"]
+
+GOLDEN = [
+    (["scan", *ENVELOPE],
+     "14a4a3a56e53a4d8ac6f4abb326af81a01bb7aaed0708732df1dc694e8d4e004"),
+    (["scan", *ENVELOPE, "--normalized-negativity"],
+     "a6319b5f387b7ada2054003828d738689c540a7f37873075b07d5b81373b4cd6"),
+    (["dominant", *ENVELOPE],
+     "991216ae8b7e7302ecdd7aa1bab1503054e239c440f883d1a038f23dac856585"),
+    (["scan", *LOCAL],
+     "db90f0bdbcd0f4fa1c0b224ac4e5a38a9fb41a77f2aa78f6e4bf4ab25142231b"),
+    (["dominant", *LOCAL],
+     "f8cc79652ebb13760d90b8e7c77f61c1da1cf6130d8e3eb6d964abb1d4a2a31d"),
+    (["point", "--u", "3", "--v", "1"],
+     "cde15b8ca09c68f0c7865e4bea9eb8a05c9b50eb276a3dffd80a434f999e9ed1"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_cli_output_hash(argv, digest, capsys):
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -100,11 +100,18 @@ class TestScanGrid:
         ]
 
     def test_matches_pointwise_evaluation(self):
-        g = GridSpec(-3.0, 3.0, -2.0, 2.0, 5, 4)
-        records = scan_grid(g)
-        for rec in records:
-            direct = evaluate_point(CouplingParams(rec.u, rec.v))
-            assert rec == direct
+        grids = [
+            GridSpec(-3.0, 3.0, -2.0, 2.0, 5, 4),
+            # the envelope, where weights underflow to exactly 0 and 1
+            GridSpec(-2000.0, 2000.0, -2000.0, 2000.0, 21, 21),
+            # the u = 0 and v = 0 tie lines, where Bell weights are equal
+            GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21),
+            GridSpec(-12.0, 12.0, -12.0, 12.0, 25, 25),
+        ]
+        for g in grids:
+            for rec in scan_grid(g):
+                direct = evaluate_point(CouplingParams(rec.u, rec.v))
+                assert rec == direct
 
     def test_worker_count_invariant(self):
         g = GridSpec(-5.0, 5.0, -5.0, 5.0, 11, 11)
