@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, TextIO
 
 from .dipolar import CouplingParams
 from .scan import (
@@ -12,10 +14,10 @@ from .scan import (
     GridSpec,
     GridTooLargeError,
     boundary_rows,
-    dominant_map,
+    dominant_entries,
     dominant_rows,
     evaluate_point,
-    scan_grid,
+    scan_records,
     scan_rows,
     trace_boundary,
 )
@@ -23,6 +25,9 @@ from .scan import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# CSV lines joined per write
+_WRITE_LINES = 4096
 
 
 def _range_spec(text: str) -> tuple[float, float, int]:
@@ -35,6 +40,16 @@ def _range_spec(text: str) -> tuple[float, float, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected min:max:count, got {text!r}")
     return lo, hi, count
+
+
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--u", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
     scan.add_argument("--v", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
     scan.add_argument("--out", help="write CSV here instead of stdout")
-    scan.add_argument("--workers", type=int, default=1, help="worker processes")
+    scan.add_argument(
+        "--workers", type=_worker_count, default=1, metavar="N",
+        help="accepted for compatibility (N >= 1); output and speed do not depend on it",
+    )
     scan.add_argument("--normalized-negativity", action="store_true",
                       help="report negativity doubled, so a Bell state reads 1")
 
@@ -92,13 +110,29 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
     return GridSpec(u_min=u_min, u_max=u_max, v_min=v_min, v_max=v_max, nu=nu, nv=nv)
 
 
+def _write(lines: Iterable[str], fh: TextIO) -> None:
+    lines = iter(lines)
+    while chunk := list(islice(lines, _WRITE_LINES)):
+        fh.write("\n".join(chunk) + "\n")
+
+
 def _emit(lines: Iterable[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    """Write CSV lines as they are produced.  A file is written under a
+    temporary name beside it and renamed into place only once complete, so
+    a failure part-way leaves any earlier file untouched."""
     if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(lines, sys.stdout)
+        return
+    head, tail = os.path.split(out_path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            _write(lines, fh)
+        os.replace(tmp, out_path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _fuse_axis_values(argv: list[str]) -> list[str]:
@@ -131,7 +165,7 @@ def run_cli(argv: list[str] | None = None) -> int:
             record = evaluate_point(CouplingParams(args.u, args.v))
             _emit(scan_rows([record], args.normalized_negativity), None)
         elif args.command == "scan":
-            records = scan_grid(_grid_from_args(args), workers=args.workers)
+            records = scan_records(_grid_from_args(args))
             _emit(scan_rows(records, args.normalized_negativity), args.out)
         elif args.command == "boundary":
             polylines = trace_boundary(
@@ -139,7 +173,7 @@ def run_cli(argv: list[str] | None = None) -> int:
             )
             _emit(boundary_rows(polylines), args.out)
         elif args.command == "dominant":
-            entries = dominant_map(_grid_from_args(args))
+            entries = dominant_entries(_grid_from_args(args))
             _emit(dominant_rows(entries), args.out)
     except GridTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

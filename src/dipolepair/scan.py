@@ -14,32 +14,27 @@ cell (marching squares, saddle cells split by the sign at the centre).
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .dipolar import CorrelationTriple, CouplingParams, spectrum
+from . import core
+from .core import NONLOCAL_CHSH_TOL, SEPARABLE_NEGATIVITY_TOL, Region
+from .dipolar import COUPLING_LIMIT, CorrelationTriple, CouplingParams, spectrum
 from .linalg import BellLabel
 from .measures import chsh_from_correlations, negativity_bell_diagonal
 from .teleport import best_fidelity
 
-SEPARABLE_NEGATIVITY_TOL = 1e-12
-NONLOCAL_CHSH_TOL = 1e-12
 GRID_POINT_LIMIT = 10 ** 8
 DEFAULT_ROOT_TOL = 1e-9
+# grid points per call into the array core; bounds a scan's working memory
+BLOCK_POINTS = 1 << 14
 
 SCAN_HEADER = "u,v,chsh,negativity,fidelity,dominant_weight,dominant_label,region"
 BOUNDARY_HEADER = "contour_id,u,v"
 DOMINANT_HEADER = "u,v,dominant_label,dominant_weight"
-
-
-class Region(Enum):
-    SEPARABLE = "separable"
-    ENTANGLED_LOCAL = "entangled_local"
-    NONLOCAL = "nonlocal"
 
 
 class BoundaryQuantity(Enum):
@@ -82,6 +77,16 @@ class GridSpec:
             object.__setattr__(self, name, int(n))
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must satisfy min < max on both axes")
+        # coordinates grow with the index, so the end points are the extremes;
+        # the last one can overshoot max by an ulp
+        for name, lo, hi, n in (("u", self.u_min, self.u_max, self.nu),
+                                ("v", self.v_min, self.v_max, self.nv)):
+            for x in _axis(lo, hi, n, (0, n - 1)):
+                if abs(x) > COUPLING_LIMIT:
+                    raise ValueError(
+                        f"grid reaches |{name}| = {abs(x)!r}, beyond the stability "
+                        f"limit {COUPLING_LIMIT}"
+                    )
         if self.nu * self.nv > GRID_POINT_LIMIT:
             raise GridTooLargeError(
                 f"grid has {self.nu} * {self.nv} = {self.nu * self.nv} points, "
@@ -89,12 +94,15 @@ class GridSpec:
             )
 
     def u_coords(self) -> np.ndarray:
-        step = (self.u_max - self.u_min) / (self.nu - 1)
-        return np.array([self.u_min + i * step for i in range(self.nu)])
+        return np.array(_axis(self.u_min, self.u_max, self.nu, range(self.nu)))
 
     def v_coords(self) -> np.ndarray:
-        step = (self.v_max - self.v_min) / (self.nv - 1)
-        return np.array([self.v_min + j * step for j in range(self.nv)])
+        return np.array(_axis(self.v_min, self.v_max, self.nv, range(self.nv)))
+
+
+def _axis(lo: float, hi: float, n: int, indices: Iterable[int]) -> list[float]:
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in indices]
 
 
 @dataclass(frozen=True)
@@ -136,45 +144,48 @@ def evaluate_point(params: CouplingParams) -> ScanRecord:
     )
 
 
-def _scan_row(args: tuple[float, tuple[float, ...]]) -> list[ScanRecord]:
-    v, us = args
-    return [evaluate_point(CouplingParams(u, v)) for u in us]
+def _blocks(grid: GridSpec) -> Iterator[core.PhaseArrays]:
+    """The core evaluated on consecutive row-major runs of grid points."""
+    us, vs = grid.u_coords(), grid.v_coords()
+    total = grid.nu * grid.nv
+    for start in range(0, total, BLOCK_POINTS):
+        k = np.arange(start, min(start + BLOCK_POINTS, total))
+        yield core.evaluate(us[k % grid.nu], vs[k // grid.nu])
+
+
+def scan_records(grid: GridSpec) -> Iterator[ScanRecord]:
+    """Every grid point, row-major (v outer, u inner), computed a block of
+    points at a time so memory does not grow with the grid."""
+    for b in _blocks(grid):
+        labels = [core.LABELS[i] for i in b.dominant.tolist()]
+        regions = [core.REGIONS[i] for i in b.region.tolist()]
+        for row in zip(b.u.tolist(), b.v.tolist(), b.chsh.tolist(),
+                       b.negativity.tolist(), b.fidelity.tolist(),
+                       b.dominant_weight.tolist(), labels, regions):
+            yield ScanRecord(*row)
 
 
 def scan_grid(grid: GridSpec, workers: int | None = None) -> list[ScanRecord]:
     """Evaluate every grid point, row-major (v outer, u inner).
 
-    Rows may be farmed out to worker processes; the per-point arithmetic is
-    identical either way, so results do not depend on the worker count.
+    `workers` is accepted for compatibility and has no effect: the whole
+    grid is one array computation, and results equal `evaluate_point` at
+    every point.
     """
-    us = tuple(float(x) for x in grid.u_coords())
-    rows = [(float(v), us) for v in grid.v_coords()]
-    if workers is not None and int(workers) > 1:
-        chunk = max(1, len(rows) // (4 * int(workers)))
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            results = list(pool.map(_scan_row, rows, chunksize=chunk))
-    else:
-        results = [_scan_row(row) for row in rows]
-    return [record for row in results for record in row]
+    return list(scan_records(grid))
+
+
+def dominant_entries(grid: GridSpec) -> Iterator[tuple[float, float, BellLabel, float]]:
+    """Dominant Bell component at every grid point, row-major, a block of
+    points at a time.  Exact ties fall to the earlier label."""
+    for b in _blocks(grid):
+        labels = [core.LABELS[i] for i in b.dominant.tolist()]
+        yield from zip(b.u.tolist(), b.v.tolist(), labels, b.dominant_weight.tolist())
 
 
 def dominant_map(grid: GridSpec) -> list[tuple[float, float, BellLabel, float]]:
-    """Dominant Bell component on the grid, row-major.
-
-    The Psi-minus level sits at energy zero and can never be the strict
-    ground state, so it can never strictly dominate; ties fall to earlier
-    labels, which makes a Psi-minus result impossible and worth a hard check.
-    """
-    out: list[tuple[float, float, BellLabel, float]] = []
-    for v in grid.v_coords():
-        for u in grid.u_coords():
-            label, weight = spectrum(CouplingParams(float(u), float(v))).dominant()
-            if label is BellLabel.PSI_MINUS:
-                raise RuntimeError(
-                    f"PsiMinus weight reported strictly dominant at ({u}, {v})"
-                )
-            out.append((float(u), float(v), label, weight))
-    return out
+    """Dominant Bell component on the grid, row-major."""
+    return list(dominant_entries(grid))
 
 
 def _field_chsh(u: float, v: float) -> float:

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
+import multiprocessing.process
+import runpy
+import sys
+
 import numpy as np
 import pytest
 
+from dipolepair import core
 from dipolepair.cli import run_cli
 from dipolepair.dipolar import CouplingParams, spectrum
 
@@ -71,6 +76,53 @@ class TestScanCommand:
         code, _, _ = run(capsys, "scan", "--u", "a:b:4", "--v", "0:1:5")
         assert code == 2
 
+    def test_range_beyond_stability_limit_fails_before_output(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        for extra in ([], ["--out", str(out)]):
+            code, stdout, err = run(capsys, "scan", "--u", "-3000:0:3", "--v", "0:1:3", *extra)
+            assert code == 2
+            assert stdout == ""
+            assert "stability limit" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_scan_keeps_existing_out_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "scan.csv"
+        out.write_bytes(b"old bytes\n")
+        real, calls = core.evaluate, []
+
+        def fail_after_first_block(u, v):
+            calls.append(len(u))
+            if len(calls) > 1:
+                raise ValueError("injected failure")
+            return real(u, v)
+
+        monkeypatch.setattr(core, "evaluate", fail_after_first_block)
+        code, _, err = run(capsys, "scan", "--u", "0:1:200", "--v", "0:1:200",
+                           "--out", str(out))
+        assert code == 2
+        assert "injected failure" in err
+        assert len(calls) == 2
+        assert out.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_invalid_worker_count_is_usage_error(self, workers, capsys):
+        code, out, _ = run(capsys, "scan", "--u", "0:1:3", "--v", "0:1:3",
+                           "--workers", workers)
+        assert code == 2
+        assert out == ""
+
+    def test_worker_count_starts_no_processes(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("scan started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        _, serial, _ = run(capsys, "scan", "--u", "-6:6:13", "--v", "-6:6:13")
+        code, pooled, _ = run(capsys, "scan", "--u", "-6:6:13", "--v", "-6:6:13",
+                              "--workers", "4")
+        assert code == 0
+        assert pooled == serial
+
 
 class TestBoundaryCommand:
     def test_negativity_contour_points_lie_on_boundary(self, tmp_path):
@@ -125,3 +177,12 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+    def test_python_dash_m_runs_the_cli(self, monkeypatch, capsys):
+        argv = ["point", "--u", "3", "--v", "1"]
+        _, expected, _ = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["dipolepair", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("dipolepair", run_name="__main__", alter_sys=True)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected

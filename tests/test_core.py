@@ -1,0 +1,38 @@
+"""Tests for the array core beyond what scans over grids cover."""
+import numpy as np
+import pytest
+
+from dipolepair import core
+from dipolepair.dipolar import CouplingParams
+from dipolepair.scan import evaluate_point
+
+
+def test_matches_evaluate_point_at_scattered_points():
+    rng = np.random.default_rng(5)
+    u = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
+    v = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
+    b = core.evaluate(u, v)
+    for k in range(len(u)):
+        rec = evaluate_point(CouplingParams(u[k], v[k]))
+        assert (b.chsh[k], b.negativity[k], b.fidelity[k], b.dominant_weight[k]) == (
+            rec.chsh, rec.negativity, rec.fidelity, rec.dominant_weight)
+        assert core.LABELS[b.dominant[k]] is rec.dominant_label
+        assert core.REGIONS[b.region[k]] is rec.region
+
+
+@pytest.mark.parametrize("u, v", [
+    ([0.0, 2000.5], [0.0, 0.0]),
+    ([0.0, 0.0], [1.0, -2001.0]),
+    ([np.nan], [0.0]),
+    ([0.0], [np.inf]),
+])
+def test_rejects_couplings_outside_the_envelope(u, v):
+    with pytest.raises(ValueError):
+        core.evaluate(u, v)
+
+
+def test_psi_minus_dominance_is_a_hard_error():
+    w = np.array([[0.25, 0.25, 0.25, 0.25], [0.1, 0.1, 0.1, 0.7]])
+    with pytest.raises(RuntimeError, match="PsiMinus"):
+        core.dominant(w, np.zeros(2), np.zeros(2))
+    assert core.dominant(w[:1], np.zeros(1), np.zeros(1)).tolist() == [0]

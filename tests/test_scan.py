@@ -45,6 +45,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 1, 2)
 
+    def test_rejects_bounds_beyond_stability_limit(self):
+        with pytest.raises(ValueError, match="stability limit"):
+            GridSpec(-3000.0, 0.0, 0.0, 1.0, 3, 3)
+        with pytest.raises(ValueError, match="stability limit"):
+            GridSpec(0.0, 1.0, 0.0, 2000.5, 3, 3)
+        # the last u coordinate of this axis rounds an ulp past 2000
+        with pytest.raises(ValueError, match="stability limit"):
+            GridSpec(-2000.0, 2000.0, 0.0, 1.0, 16, 2)
+        assert GridSpec(-2000.0, 2000.0, -2000.0, 2000.0, 41, 41).u_coords()[-1] == 2000.0
+
     def test_point_budget(self):
         with pytest.raises(GridTooLargeError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 100_000, 10_000)
