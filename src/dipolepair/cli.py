@@ -4,8 +4,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .dipolar import CouplingParams
 from .scan import (
@@ -25,9 +24,6 @@ from .scan import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-# CSV lines joined per write
-_WRITE_LINES = 4096
 
 
 def _range_spec(text: str) -> tuple[float, float, int]:
@@ -110,24 +106,19 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
     return GridSpec(u_min=u_min, u_max=u_max, v_min=v_min, v_max=v_max, nu=nu, nv=nv)
 
 
-def _write(lines: Iterable[str], fh: TextIO) -> None:
-    lines = iter(lines)
-    while chunk := list(islice(lines, _WRITE_LINES)):
-        fh.write("\n".join(chunk) + "\n")
-
-
 def _emit(lines: Iterable[str], out_path: str | None) -> None:
     """Write CSV lines as they are produced.  A file is written under a
     temporary name beside it and renamed into place only once complete, so
     a failure part-way leaves any earlier file untouched."""
+    text = (f"{line}\n" for line in lines)
     if out_path is None:
-        _write(lines, sys.stdout)
+        sys.stdout.writelines(text)
         return
     head, tail = os.path.split(out_path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            _write(lines, fh)
+            fh.writelines(text)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):

@@ -45,12 +45,11 @@ LABELS = tuple(BellLabel)
 
 @dataclass(frozen=True)
 class PhaseArrays:
-    """Reported quantities at N coupling points; `weights` is (N, 4) and
-    indexed by BellLabel, `dominant` and `region` index LABELS and REGIONS."""
+    """Reported quantities at N coupling points; `dominant` and `region`
+    index LABELS and REGIONS."""
 
     u: np.ndarray
     v: np.ndarray
-    weights: np.ndarray
     chsh: np.ndarray
     negativity: np.ndarray
     fidelity: np.ndarray
@@ -145,6 +144,6 @@ def evaluate(u, v) -> PhaseArrays:
     negativity = np.maximum(0.0, w_max - 0.5)
     region = np.where(negativity < SEPARABLE_NEGATIVITY_TOL, 0,
                       np.where(chsh > 2.0 + NONLOCAL_CHSH_TOL, 2, 1))
-    return PhaseArrays(u=u, v=v, weights=w, chsh=chsh, negativity=negativity,
+    return PhaseArrays(u=u, v=v, chsh=chsh, negativity=negativity,
                        fidelity=fidelities[rows, best], dominant=best,
                        dominant_weight=w_max, region=region)
