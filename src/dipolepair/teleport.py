@@ -34,6 +34,9 @@ CLASSICAL_DIMENSION = 2
 
 _RANGE_TOL = 1e-12
 
+# Pauli corrections lifted to the pair; they act on the first factor
+_LIFTS = tuple(kron(pauli(mu), pauli(0)) for mu in range(4))
+
 
 @dataclass(frozen=True)
 class BlochAngles:
@@ -87,8 +90,7 @@ def channel_output(spectral: SpectralData, k0: BellLabel, angles: BlochAngles) -
     seed = projector(bell_state(k0))
     rho_in = angles.density()
     out = np.zeros((2, 2), dtype=complex)
-    for mu in range(4):
-        lift = kron(pauli(mu), pauli(0))  # correction acts on the first factor
+    for mu, lift in enumerate(_LIFTS):
         q = float(np.trace(lift @ seed @ lift @ rho).real)
         out += q * (pauli(mu) @ rho_in @ pauli(mu))
     return out
