@@ -3,7 +3,8 @@
 The hashes were taken from the per-point implementation; any change to the
 numerics or the CSV formatting that moves a single bit of output fails here.
 The +-2000 grid reaches the envelope where Boltzmann weights underflow; both
-grids contain the u = 0 and v = 0 tie lines.
+grids contain the u = 0 and v = 0 tie lines, and both hold roots of all
+three boundary quantities.
 """
 import hashlib
 
@@ -25,6 +26,18 @@ GOLDEN = [
      "db90f0bdbcd0f4fa1c0b224ac4e5a38a9fb41a77f2aa78f6e4bf4ab25142231b"),
     (["dominant", *LOCAL],
      "f8cc79652ebb13760d90b8e7c77f61c1da1cf6130d8e3eb6d964abb1d4a2a31d"),
+    (["boundary", "--quantity", "chsh", *ENVELOPE],
+     "f842fe290984fc67aa7ba5ace219d476c4492bcc582106280ef6154162769e13"),
+    (["boundary", "--quantity", "negativity", *ENVELOPE],
+     "d3b9de2d0242b6b43beb2183217f7bcbbbfdc1285bf4d0a24c05f01020f4c512"),
+    (["boundary", "--quantity", "fidelity", *ENVELOPE],
+     "2773b46f61c1b0ca9b1596294f98772096e7141179b4757c5df94a4df5272598"),
+    (["boundary", "--quantity", "chsh", *LOCAL],
+     "abc4b832249a6ce66fedc05b8049d0e7b116f2a8ef6b3a4aafcba9cb4472ed39"),
+    (["boundary", "--quantity", "negativity", *LOCAL],
+     "ce79a67fb1b624307173923a577cb204fd224f39a783f4a8bce909d35b92a263"),
+    (["boundary", "--quantity", "fidelity", *LOCAL],
+     "7bffa1b03359606af32f1c9b75ef1171cc843bf86d7469d4fb3b59da232d2525"),
     (["point", "--u", "3", "--v", "1"],
      "cde15b8ca09c68f0c7865e4bea9eb8a05c9b50eb276a3dffd80a434f999e9ed1"),
 ]
