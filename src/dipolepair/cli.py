@@ -151,26 +151,31 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
+    out_path = getattr(args, "out", None)
     try:
         if args.command == "point":
             record = evaluate_point(CouplingParams(args.u, args.v))
-            _emit(scan_rows([record], args.normalized_negativity), None)
+            lines = scan_rows([record], args.normalized_negativity)
         elif args.command == "scan":
             records = scan_records(_grid_from_args(args))
-            _emit(scan_rows(records, args.normalized_negativity), args.out)
+            lines = scan_rows(records, args.normalized_negativity)
         elif args.command == "boundary":
             polylines = trace_boundary(
                 BoundaryQuantity(args.quantity), _grid_from_args(args), tol=args.tol
             )
-            _emit(boundary_rows(polylines), args.out)
+            lines = boundary_rows(polylines)
         elif args.command == "dominant":
-            entries = dominant_entries(_grid_from_args(args))
-            _emit(dominant_rows(entries), args.out)
+            lines = dominant_rows(dominant_entries(_grid_from_args(args)))
+        _emit(lines, out_path)
     except GridTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write {out_path or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

@@ -8,9 +8,10 @@ Each grid point is classified into one of three regions:
 
 Three signed boundary fields share the same zero sets as the physically
 interesting transitions: chsh - 2, max_a p_a - 1/2 (signed version of the
-negativity onset) and best_fidelity - 2/3.  Contours are traced by
-bisecting sign changes along grid edges and joining the roots cell by
-cell (marching squares, saddle cells split by the sign at the centre).
+negativity onset) and fidelity - 2/3.  Scans, maps and contours all read
+the array core.  Contours are traced by bisecting the sign changes along
+grid edges in lockstep and joining the roots cell by cell (marching
+squares, saddle cells split by the sign at the centre).
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ class GridSpec:
         # the last one can overshoot max by an ulp
         for name, lo, hi, n in (("u", self.u_min, self.u_max, self.nu),
                                 ("v", self.v_min, self.v_max, self.nv)):
-            for x in _axis(lo, hi, n, (0, n - 1)):
+            for x in _axis(lo, hi, n, np.array([0, n - 1])).tolist():
                 if abs(x) > COUPLING_LIMIT:
                     raise ValueError(
                         f"grid reaches |{name}| = {abs(x)!r}, beyond the stability "
@@ -94,15 +95,14 @@ class GridSpec:
             )
 
     def u_coords(self) -> np.ndarray:
-        return np.array(_axis(self.u_min, self.u_max, self.nu, range(self.nu)))
+        return _axis(self.u_min, self.u_max, self.nu, np.arange(self.nu))
 
     def v_coords(self) -> np.ndarray:
-        return np.array(_axis(self.v_min, self.v_max, self.nv, range(self.nv)))
+        return _axis(self.v_min, self.v_max, self.nv, np.arange(self.nv))
 
 
-def _axis(lo: float, hi: float, n: int, indices: Iterable[int]) -> list[float]:
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in indices]
+def _axis(lo: float, hi: float, n: int, indices: np.ndarray) -> np.ndarray:
+    return lo + indices * ((hi - lo) / (n - 1))
 
 
 @dataclass(frozen=True)
@@ -188,32 +188,26 @@ def dominant_map(grid: GridSpec) -> list[tuple[float, float, BellLabel, float]]:
     return list(dominant_entries(grid))
 
 
-def _field_chsh(u: float, v: float) -> float:
-    spectral = spectrum(CouplingParams(u, v))
-    return chsh_from_correlations(
-        CorrelationTriple.from_weights(spectral.weights)
-    ).value - 2.0
+def _field_values(quantity: BoundaryQuantity, p: core.PhaseArrays) -> np.ndarray:
+    if quantity is BoundaryQuantity.CHSH_MINUS_2:
+        return p.chsh - 2.0
+    if quantity is BoundaryQuantity.NEGATIVITY:
+        # signed distance through the entanglement onset: max weight - 1/2
+        return p.dominant_weight - 0.5
+    return p.fidelity - 2.0 / 3.0
 
 
-def _field_negativity(u: float, v: float) -> float:
-    # signed distance through the entanglement onset: max weight - 1/2
-    return float(np.max(spectrum(CouplingParams(u, v)).weights)) - 0.5
+def boundary_field(quantity: BoundaryQuantity) -> Callable:
+    """Signed field whose zero set is the requested boundary, read from the
+    array core; it takes u, v as floats (giving a float) or arrays."""
+    quantity = BoundaryQuantity(quantity)
 
+    def field(u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        values = _field_values(quantity, core.evaluate(u, v)).reshape(u.shape)
+        return float(values) if values.ndim == 0 else values
 
-def _field_fidelity(u: float, v: float) -> float:
-    return best_fidelity(spectrum(CouplingParams(u, v))).best - 2.0 / 3.0
-
-
-_FIELDS: dict[BoundaryQuantity, Callable[[float, float], float]] = {
-    BoundaryQuantity.CHSH_MINUS_2: _field_chsh,
-    BoundaryQuantity.NEGATIVITY: _field_negativity,
-    BoundaryQuantity.FIDELITY_MINUS_TWO_THIRDS: _field_fidelity,
-}
-
-
-def boundary_field(quantity: BoundaryQuantity) -> Callable[[float, float], float]:
-    """Signed scalar field whose zero set is the requested boundary."""
-    return _FIELDS[BoundaryQuantity(quantity)]
+    return field
 
 
 @dataclass(frozen=True)
@@ -226,35 +220,31 @@ class ContourPolyline:
     closed: bool
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                f_lo: float, f_hi: float) -> float:
+def bisect_root(f: Callable, lo, hi, f_lo, f_hi):
     """Sign-change bisection run to floating-point exhaustion.
 
     Purely sign-driven: two fields that are positive multiples of each
     other walk the identical interval sequence and land on the same root.
+    Arrays of brackets walk in lockstep, each as it would alone; `f` then
+    maps an array shaped like `lo`, and entries of settled brackets are
+    ignored.
     """
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
+    lo, hi, f_lo, f_hi = (np.array(x, dtype=float) for x in (lo, hi, f_lo, f_hi))
+    if np.any((f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0.0) == (f_hi > 0.0))):
         raise ValueError("bisection bracket must straddle a sign change")
+    root = np.where(f_lo == 0.0, lo, hi)
+    active = (f_lo != 0.0) & (f_hi != 0.0)
     lo_positive = f_lo > 0.0
-    while True:
+    while np.any(active):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
         f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-
-
-def _sign(x: float) -> int:
-    return 1 if x >= 0.0 else -1
+        done = active & ((mid == lo) | (mid == hi) | (f_mid == 0.0))
+        root[done] = mid[done]
+        active &= ~done
+        to_lo = active & ((f_mid > 0.0) == lo_positive)
+        lo[to_lo] = mid[to_lo]
+        hi[active & ~to_lo] = mid[active & ~to_lo]
+    return float(root) if root.ndim == 0 else root
 
 
 def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
@@ -264,37 +254,42 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     Every grid edge whose endpoint signs differ is bisected to a root with
     |field| < tol; roots are joined into segments cell by cell and stitched
     into polylines.  Output ordering is deterministic: open chains first,
-    then loops, each starting from the smallest edge id.
+    then loops, each starting from the smallest edge id.  A root that
+    misses the tolerance raises ValueError.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    quantity = BoundaryQuantity(quantity)
     field = boundary_field(quantity)
-    us = [float(x) for x in grid.u_coords()]
-    vs = [float(x) for x in grid.v_coords()]
-    values = [[field(u, v) for u in us] for v in vs]
-    signs = [[_sign(x) for x in row] for row in values]
+    us, vs = grid.u_coords(), grid.v_coords()
+    blocks = [_field_values(quantity, b) for b in _blocks(grid)]
+    values = np.concatenate(blocks).reshape(grid.nv, grid.nu)
+    positive = values >= 0.0
 
     # edge ids: ("h", i, j) spans u_i..u_{i+1} at v_j; ("v", i, j) spans
-    # v_j..v_{j+1} at u_i
-    roots: dict[tuple[str, int, int], tuple[float, float]] = {}
-    for j, v in enumerate(vs):
-        for i in range(grid.nu - 1):
-            if signs[j][i] != signs[j][i + 1]:
-                u_root = bisect_root(
-                    lambda x, v=v: field(x, v),
-                    us[i], us[i + 1], values[j][i], values[j][i + 1],
-                )
-                _check_residual(field, u_root, v, tol)
-                roots[("h", i, j)] = (u_root, v)
-    for j in range(grid.nv - 1):
-        for i, u in enumerate(us):
-            if signs[j][i] != signs[j + 1][i]:
-                v_root = bisect_root(
-                    lambda y, u=u: field(u, y),
-                    vs[j], vs[j + 1], values[j][i], values[j + 1][i],
-                )
-                _check_residual(field, u, v_root, tol)
-                roots[("v", i, j)] = (u, v_root)
+    # v_j..v_{j+1} at u_i; both index lists run row-major over (j, i)
+    h_j, h_i = np.nonzero(positive[:, :-1] != positive[:, 1:])
+    v_j, v_i = np.nonzero(positive[:-1, :] != positive[1:, :])
+    horizontal = np.arange(h_j.size + v_j.size) < h_j.size
+    fixed = np.concatenate((vs[h_j], us[v_i]))
+    along = bisect_root(
+        lambda x: field(np.where(horizontal, x, fixed), np.where(horizontal, fixed, x)),
+        np.concatenate((us[h_i], vs[v_j])), np.concatenate((us[h_i + 1], vs[v_j + 1])),
+        np.concatenate((values[h_j, h_i], values[v_j, v_i])),
+        np.concatenate((values[h_j, h_i + 1], values[v_j + 1, v_i])),
+    )
+    root_u = np.where(horizontal, along, fixed)
+    root_v = np.where(horizontal, fixed, along)
+    residual = np.abs(field(root_u, root_v))
+    if not np.all(residual < tol):
+        k = int(np.argmax(residual))
+        raise ValueError(
+            f"contour root at ({float(root_u[k])!r}, {float(root_v[k])!r}) has "
+            f"residual {residual[k]:.3e}, not below the tolerance {tol:g}"
+        )
+    edges = [("h", i, j) for j, i in zip(h_j.tolist(), h_i.tolist())]
+    edges += [("v", i, j) for j, i in zip(v_j.tolist(), v_i.tolist())]
+    roots = dict(zip(edges, zip(root_u.tolist(), root_v.tolist())))
 
     segments: list[tuple[tuple[str, int, int], tuple[str, int, int]]] = []
     for j in range(grid.nv - 1):
@@ -309,7 +304,7 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
             elif len(crossed) == 4:
                 # saddle cell: resolve the pairing with the centre sign
                 centre = field((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
-                if _sign(centre) == signs[j][i]:
+                if (centre >= 0.0) == positive[j, i]:
                     segments.append((bottom, right))
                     segments.append((top, left))
                 else:
@@ -355,15 +350,6 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
             ContourPolyline(quantity, tuple(roots[e] for e in chain), closed=True)
         )
     return polylines
-
-
-def _check_residual(field: Callable[[float, float], float], u: float, v: float,
-                    tol: float) -> None:
-    residual = abs(field(u, v))
-    if not residual < tol:
-        raise RuntimeError(
-            f"contour root at ({u}, {v}) has residual {residual:.3e}, tolerance {tol:.0e}"
-        )
 
 
 def _fmt(x: float) -> str:

@@ -147,6 +147,19 @@ class TestBoundaryCommand:
         )
         assert code == 2
 
+    def test_unattainable_tolerance_is_usage_error(self, tmp_path, capsys):
+        # roots reach a residual of a few 1e-16, never below 1e-300
+        out = tmp_path / "onset.csv"
+        code, stdout, err = run(
+            capsys, "boundary", "--quantity", "negativity",
+            "--u", "-10:10:21", "--v", "-10:10:21", "--tol", "1e-300", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "residual" in err and "1e-300" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_contour_writes_header_only(self, capsys):
         code, out, _ = run(
             capsys, "boundary", "--quantity", "chsh",
@@ -167,6 +180,19 @@ class TestDominantCommand:
         assert rows[("-10.0", "10.0")] == "phi_minus"
         assert rows[("-10.0", "-10.0")] == "phi_plus"
         assert "psi_minus" not in rows.values()
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--u", "0:1:3", "--v", "0:1:3"],
+    ["boundary", "--quantity", "negativity", "--u", "-10:10:21", "--v", "-10:10:21"],
+])
+def test_unwritable_out_is_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run(capsys, *command, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestUsage:
