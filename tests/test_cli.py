@@ -187,12 +187,17 @@ class TestDominantCommand:
     ["boundary", "--quantity", "negativity", "--u", "-10:10:21", "--v", "-10:10:21"],
 ])
 def test_unwritable_out_is_usage_error(command, tmp_path, capsys):
-    out = tmp_path / "missing" / "x.csv"
-    code, stdout, err = run(capsys, *command, "--out", str(out))
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    # a missing directory fails to open the temp file; an existing
+    # directory fails the final rename, after the temp file was written
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for out in (tmp_path / "missing" / "x.csv", existing):
+        code, stdout, err = run(capsys, *command, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [existing]
+        assert list(existing.iterdir()) == []
 
 
 class TestUsage:
