@@ -1,42 +1,26 @@
 """Thermal entanglement, nonlocality and teleportation capacity of a
-dipolar-coupled spin-1/2 pair, over the coupling plane (u, v) = (Delta/kT, eps/kT)."""
+dipolar-coupled spin-1/2 pair, over the coupling plane (u, v) = (Delta/kT, eps/kT).
+
+The definition-level routes (dense matrices, eigensolves, channel
+arithmetic, sphere quadrature) live in `dipolepair.reference` and are not
+imported here."""
 
 from .dipolar import (
     COUPLING_LIMIT,
+    BellLabel,
     CorrelationTriple,
     CouplingParams,
     SpectralData,
     bell_energies,
     correlations,
-    fano_marginals,
-    hamiltonian_from_tensor,
-    hamiltonian_matrix,
     spectrum,
-    thermal_state,
-)
-from .linalg import (
-    BellLabel,
-    EigenSystem,
-    bell_state,
-    bloch_to_state,
-    gibbs,
-    hermitian_eig,
-    kron,
-    partial_transpose_a,
-    pauli,
-    projector,
-    reduce_sphere_angles,
-    trace_norm_hermitian,
 )
 from .measures import (
     CHSH_CLASSICAL_BOUND,
     CHSH_QUANTUM_BOUND,
     ChshResult,
-    NegativityResult,
     chsh_from_correlations,
     chsh_max,
-    chsh_max_general,
-    negativity,
     negativity_bell_diagonal,
 )
 from .scan import (
@@ -52,23 +36,16 @@ from .scan import (
     trace_boundary,
 )
 from .teleport import (
-    BlochAngles,
     FidelityReport,
     average_fidelity,
-    average_fidelity_quadrature,
     best_fidelity,
-    channel_output,
-    channel_state,
-    fidelity_pointwise,
     minimum_fidelity,
-    pauli_conjugation,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BellLabel",
-    "BlochAngles",
     "BoundaryQuantity",
     "CHSH_CLASSICAL_BOUND",
     "CHSH_QUANTUM_BOUND",
@@ -77,46 +54,23 @@ __all__ = [
     "ContourPolyline",
     "CorrelationTriple",
     "CouplingParams",
-    "EigenSystem",
     "FidelityReport",
     "GridSpec",
     "GridTooLargeError",
-    "NegativityResult",
     "Region",
     "ScanRecord",
     "SpectralData",
     "average_fidelity",
-    "average_fidelity_quadrature",
     "bell_energies",
-    "bell_state",
     "best_fidelity",
-    "bloch_to_state",
-    "channel_output",
-    "channel_state",
     "chsh_from_correlations",
     "chsh_max",
-    "chsh_max_general",
     "correlations",
     "dominant_map",
     "evaluate_point",
-    "fano_marginals",
-    "fidelity_pointwise",
-    "gibbs",
-    "hamiltonian_from_tensor",
-    "hamiltonian_matrix",
-    "hermitian_eig",
-    "kron",
     "minimum_fidelity",
-    "negativity",
     "negativity_bell_diagonal",
-    "partial_transpose_a",
-    "pauli",
-    "pauli_conjugation",
-    "projector",
-    "reduce_sphere_angles",
     "scan_grid",
     "spectrum",
-    "thermal_state",
     "trace_boundary",
-    "trace_norm_hermitian",
 ]

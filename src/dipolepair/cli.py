@@ -174,8 +174,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: cannot write {out_path or 'stdout'}: {exc.strerror or exc}",
-              file=sys.stderr)
+        target = "stdout" if out_path is None else out_path
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

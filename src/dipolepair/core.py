@@ -16,21 +16,15 @@ the same couplings to the bit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dipolar import COUPLING_LIMIT
-from .linalg import BellLabel
+from .dipolar import COUPLING_LIMIT, BellLabel, VALIDATION_TOL
+from .measures import CHSH_BOUNDARY_TOL, CHSH_CLASSICAL_BOUND, CHSH_QUANTUM_BOUND
 
 SEPARABLE_NEGATIVITY_TOL = 1e-12
-NONLOCAL_CHSH_TOL = 1e-12
-
-# the slack every per-point validator allows
-_TOL = 1e-12
-_CHSH_CEILING = 2.0 * math.sqrt(2.0)
 
 
 class Region(Enum):
@@ -86,11 +80,11 @@ def weights(u, v) -> np.ndarray:
     w = scaled / z[:, None]
 
     _require(np.all(np.isfinite(w), axis=1), u, v, "weights must be finite")
-    _require((w.min(axis=1) >= -_TOL) & (w.max(axis=1) <= 1.0 + _TOL), u, v,
-             "weights must lie in [0, 1]")
-    _require(np.abs(w.sum(axis=1) - 1.0) <= _TOL, u, v, "weights must sum to 1")
+    _require((w.min(axis=1) >= -VALIDATION_TOL)
+             & (w.max(axis=1) <= 1.0 + VALIDATION_TOL), u, v, "weights must lie in [0, 1]")
+    _require(np.abs(w.sum(axis=1) - 1.0) <= VALIDATION_TOL, u, v, "weights must sum to 1")
     by_energy = np.take_along_axis(w, np.argsort(e, axis=1, kind="stable"), axis=1)
-    _require(np.diff(by_energy, axis=1).max(axis=1) <= _TOL, u, v,
+    _require(np.diff(by_energy, axis=1).max(axis=1) <= VALIDATION_TOL, u, v,
              "weights must not increase with energy")
     return w
 
@@ -120,30 +114,32 @@ def evaluate(u, v) -> PhaseArrays:
     c[:, 0] = pp - pm + sp - sm
     c[:, 1] = -pp + pm + sp - sm
     c[:, 2] = pp + pm - sp - sm
-    _require(np.all(np.abs(c) <= 1.0 + _TOL, axis=1), u, v,
+    _require(np.all(np.abs(c) <= 1.0 + VALIDATION_TOL, axis=1), u, v,
              "correlations must lie in [-1, 1]")
     c1, c2, c3 = c.T
     tetrahedron = np.column_stack((1.0 + c1 - c2 + c3, 1.0 - c1 + c2 + c3,
                                    1.0 + c1 + c2 - c3, 1.0 - c1 - c2 - c3)) / 4.0
-    _require(tetrahedron.min(axis=1) >= -_TOL, u, v, "outside the Bell tetrahedron")
+    _require(tetrahedron.min(axis=1) >= -VALIDATION_TOL, u, v,
+             "outside the Bell tetrahedron")
 
     # Python's float ** 2 goes through libm pow, which can differ from x * x
     # in the last bit; the scalar route squares that way, so this one does too
     a, b, s = np.array([x ** 2 for x in c.ravel().tolist()]).reshape(-1, 3).T
     chsh = 2.0 * np.sqrt(np.maximum(np.maximum(a + b, a + s), b + s))
-    _require((chsh >= -_TOL) & (chsh <= _CHSH_CEILING + _TOL), u, v,
+    _require((chsh >= -VALIDATION_TOL)
+             & (chsh <= CHSH_QUANTUM_BOUND + VALIDATION_TOL), u, v,
              "CHSH value outside [0, 2*sqrt(2)]")
 
     rows = np.arange(u.size)
     best = dominant(w, u, v)
     w_max = w[rows, best]
     fidelities = (1.0 + 2.0 * w) / 3.0
-    _require((fidelities.min(axis=1) >= 1.0 / 3.0 - _TOL)
-             & (fidelities.max(axis=1) <= 1.0 + _TOL), u, v,
+    _require((fidelities.min(axis=1) >= 1.0 / 3.0 - VALIDATION_TOL)
+             & (fidelities.max(axis=1) <= 1.0 + VALIDATION_TOL), u, v,
              "fidelities outside [1/3, 1]")
     negativity = np.maximum(0.0, w_max - 0.5)
     region = np.where(negativity < SEPARABLE_NEGATIVITY_TOL, 0,
-                      np.where(chsh > 2.0 + NONLOCAL_CHSH_TOL, 2, 1))
+                      np.where(chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL, 2, 1))
     return PhaseArrays(u=u, v=v, chsh=chsh, negativity=negativity,
                        fidelity=fidelities[rows, best], dominant=best,
                        dominant_weight=w_max, region=region)

@@ -13,30 +13,34 @@ whose eigenstates are the four Bell states with energies
     E(Phi+) = (u + 3v)/6,  E(Phi-) = (u - 3v)/6,  E(Psi+) = -u/3,  E(Psi-) = 0.
 
 The thermal state is therefore Bell diagonal and its Boltzmann weights carry
-all the information downstream measures need.
+all the information downstream measures need.  The dense matrices of the
+same model are built from their definitions in `reference`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
-from .linalg import (
-    BellLabel,
-    kron,
-    pauli,
-    require_density_matrix,
-)
-
 COUPLING_LIMIT = 2000.0
 
-# slack used when validating derived probabilities
-_WEIGHT_TOL = 1e-12
+# slack every validator allows on derived weights, correlations and measures
+VALIDATION_TOL = 1e-12
 
 # stand-in energy for an exactly zero weight: exp(-800) underflows to 0.0,
 # so the pair (E, w) stays self-consistent while remaining finite
 _ZERO_WEIGHT_ENERGY = 800.0
+
+
+class BellLabel(IntEnum):
+    """The four Bell states; integer order is the canonical tie-breaking order."""
+
+    PHI_PLUS = 0
+    PHI_MINUS = 1
+    PSI_PLUS = 2
+    PSI_MINUS = 3
 
 
 @dataclass(frozen=True)
@@ -83,19 +87,16 @@ class SpectralData:
             raise ValueError(f"expected 4 Bell levels, got shapes {e.shape}, {w.shape}")
         if not (np.all(np.isfinite(e)) and np.all(np.isfinite(w))):
             raise ValueError("energies and weights must be finite")
-        if float(w.min()) < -_WEIGHT_TOL or float(w.max()) > 1.0 + _WEIGHT_TOL:
+        if float(w.min()) < -VALIDATION_TOL or float(w.max()) > 1.0 + VALIDATION_TOL:
             raise ValueError(f"weights must lie in [0, 1], got {w!r}")
-        if abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
+        if abs(float(w.sum()) - 1.0) > VALIDATION_TOL:
             raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
         order = np.argsort(e, kind="stable")
-        if float(np.max(np.diff(w[order]))) > _WEIGHT_TOL:
+        if float(np.max(np.diff(w[order]))) > VALIDATION_TOL:
             raise ValueError("weights must not increase with energy")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "log_partition", float(self.log_partition))
-
-    def energy(self, label: BellLabel) -> float:
-        return float(self.energies[BellLabel(label)])
 
     def weight(self, label: BellLabel) -> float:
         return float(self.weights[BellLabel(label)])
@@ -133,69 +134,6 @@ def spectrum(params: CouplingParams) -> SpectralData:
     return SpectralData(energies=e, weights=scaled / z, log_partition=math.log(z) - shift)
 
 
-def hamiltonian_matrix(params: CouplingParams) -> np.ndarray:
-    """Interaction Hamiltonian in the computational basis, units of k_B T."""
-    u, v = params.u, params.v
-    return (
-        np.array(
-            [
-                [u, 0.0, 0.0, 3.0 * v],
-                [0.0, -u, -u, 0.0],
-                [0.0, -u, -u, 0.0],
-                [3.0 * v, 0.0, 0.0, u],
-            ],
-            dtype=complex,
-        )
-        / 6.0
-    )
-
-
-def hamiltonian_from_tensor(params: CouplingParams) -> np.ndarray:
-    """Same Hamiltonian assembled from the anisotropic coupling tensor.
-
-    H = -(1/3) sum_i T_ii S_i (x) S_i with T = diag(u - 3v, u + 3v, -2u)
-    and spin operators S_i = sigma_i / 2.  Built independently of
-    hamiltonian_matrix so the two routes can be checked against each other.
-    """
-    t_diag = (params.u - 3.0 * params.v, params.u + 3.0 * params.v, -2.0 * params.u)
-    h = np.zeros((4, 4), dtype=complex)
-    for axis, t_ii in enumerate(t_diag, start=1):
-        s = pauli(axis) / 2.0
-        h -= t_ii * kron(s, s) / 3.0
-    return h
-
-
-def thermal_state(params: CouplingParams) -> np.ndarray:
-    """Two-qubit thermal density matrix at couplings (u, v).
-
-    Assembled from the Bell-level weights:
-
-        rho11 = rho44 = (w_PhiPlus + w_PhiMinus)/2
-        rho14 = rho41 = (w_PhiPlus - w_PhiMinus)/2
-        rho22 = rho33 = (w_PsiPlus + w_PsiMinus)/2
-        rho23 = rho32 = (w_PsiPlus - w_PsiMinus)/2
-
-    These combinations equal the usual hyperbolic closed forms
-    (rho11 = e^{-u/6} cosh(v/2)/Z, rho14 = -e^{-u/6} sinh(v/2)/Z,
-    rho22 = e^{u/6} cosh(u/6)/Z, rho23 = e^{u/6} sinh(u/6)/Z) but are
-    written in a form that cannot overflow at large couplings.
-    """
-    w = spectrum(params).weights
-    r11 = (w[BellLabel.PHI_PLUS] + w[BellLabel.PHI_MINUS]) / 2.0
-    r14 = (w[BellLabel.PHI_PLUS] - w[BellLabel.PHI_MINUS]) / 2.0
-    r22 = (w[BellLabel.PSI_PLUS] + w[BellLabel.PSI_MINUS]) / 2.0
-    r23 = (w[BellLabel.PSI_PLUS] - w[BellLabel.PSI_MINUS]) / 2.0
-    return np.array(
-        [
-            [r11, 0.0, 0.0, r14],
-            [0.0, r22, r23, 0.0],
-            [0.0, r23, r22, 0.0],
-            [r14, 0.0, 0.0, r11],
-        ],
-        dtype=complex,
-    )
-
-
 @dataclass(frozen=True)
 class CorrelationTriple:
     """Diagonal spin-spin correlations (c1, c2, c3) of a Bell-diagonal state.
@@ -212,11 +150,11 @@ class CorrelationTriple:
     def __post_init__(self):
         for name in ("c1", "c2", "c3"):
             x = float(getattr(self, name))
-            if not math.isfinite(x) or abs(x) > 1.0 + _WEIGHT_TOL:
+            if not math.isfinite(x) or abs(x) > 1.0 + VALIDATION_TOL:
                 raise ValueError(f"{name} must lie in [-1, 1], got {x!r}")
             object.__setattr__(self, name, x)
         w = self.bell_weights()
-        if float(w.min()) < -_WEIGHT_TOL:
+        if float(w.min()) < -VALIDATION_TOL:
             raise ValueError(f"({self.c1}, {self.c2}, {self.c3}) lies outside the Bell tetrahedron")
 
     def bell_weights(self) -> np.ndarray:
@@ -255,24 +193,3 @@ def correlations(params: CouplingParams) -> CorrelationTriple:
     """Diagonal correlations of the thermal state; c1 <-> c2 under v -> -v."""
     return CorrelationTriple.from_weights(spectrum(params).weights)
 
-
-def fano_marginals(rho, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local Bloch vectors r, s and 3x3 correlation matrix C of a two-qubit state.
-
-    r_j = Tr(rho sigma_j x I), s_j = Tr(rho I x sigma_j),
-    C_ij = Tr(rho sigma_i x sigma_j).
-    """
-    rho = require_density_matrix(rho, tol)
-    r = np.array(
-        [float(np.trace(rho @ kron(pauli(j), pauli(0))).real) for j in (1, 2, 3)]
-    )
-    s = np.array(
-        [float(np.trace(rho @ kron(pauli(0), pauli(j))).real) for j in (1, 2, 3)]
-    )
-    c = np.array(
-        [
-            [float(np.trace(rho @ kron(pauli(i), pauli(j))).real) for j in (1, 2, 3)]
-            for i in (1, 2, 3)
-        ]
-    )
-    return r, s, c

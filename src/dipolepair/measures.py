@@ -1,4 +1,4 @@
-"""Nonlocality and entanglement measures for two-qubit states.
+"""Nonlocality and entanglement measures of the Bell-diagonal thermal state.
 
 For a state with correlation matrix C the maximal CHSH expectation over
 measurement settings is 2 sqrt(m1 + m2), m1 >= m2 the two largest
@@ -10,7 +10,8 @@ absolute sum of the negative partial-transpose eigenvalues.  On this scale
 a maximally entangled two-qubit state scores 1/2; presentation layers may
 double the value so the ceiling reads 1 instead.  For a Bell-diagonal
 state the partial transpose has eigenvalues {1/2 - p_a}, so the measure
-collapses to max(0, max_a p_a - 1/2).
+collapses to max(0, max_a p_a - 1/2).  The general routes, by
+eigendecomposition, live in `reference`.
 """
 from __future__ import annotations
 
@@ -19,16 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipolar import CorrelationTriple, CouplingParams, SpectralData, correlations
-from .linalg import partial_transpose_a, require_density_matrix
+from .dipolar import (
+    VALIDATION_TOL,
+    CorrelationTriple,
+    CouplingParams,
+    SpectralData,
+    correlations,
+)
 
 CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
 
-# numeric slack for the strict classification "violating"
+# numeric slack for the strict classification "violating": a CHSH value
+# counts as nonlocal only above CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL
 CHSH_BOUNDARY_TOL = 1e-12
-
-_RANGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,49 +45,14 @@ class ChshResult:
 
     def __post_init__(self):
         x = float(self.value)
-        if not (-_RANGE_TOL <= x <= CHSH_QUANTUM_BOUND + _RANGE_TOL):
+        if not (-VALIDATION_TOL <= x <= CHSH_QUANTUM_BOUND + VALIDATION_TOL):
             raise ValueError(f"CHSH value {x!r} outside [0, 2*sqrt(2)]")
         object.__setattr__(self, "value", x)
-
-
-@dataclass(frozen=True)
-class NegativityResult:
-    """Negativity with the partial-transpose spectrum it came from."""
-
-    value: float
-    pt_eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        evals = np.asarray(self.pt_eigenvalues, dtype=float)
-        x = float(self.value)
-        neg_sum = float(np.sum(np.maximum(0.0, -evals)))
-        half_excess = (float(np.sum(np.abs(evals))) - 1.0) / 2.0
-        # the two textbook expressions must agree on any unit-trace input
-        if abs(x - neg_sum) > _RANGE_TOL or abs(x - half_excess) > _RANGE_TOL:
-            raise ValueError(
-                f"inconsistent negativity {x!r} for spectrum {evals!r}"
-            )
-        if x < -_RANGE_TOL or x > 0.5 + _RANGE_TOL:
-            raise ValueError(f"negativity {x!r} outside [0, 1/2]")
-        object.__setattr__(self, "value", x)
-        object.__setattr__(self, "pt_eigenvalues", evals)
 
 
 def _chsh_result(value: float) -> ChshResult:
     value = max(0.0, float(value))
     return ChshResult(value=value, violating=value > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL)
-
-
-def chsh_max_general(corr_matrix) -> ChshResult:
-    """Maximal CHSH value for an arbitrary 3x3 correlation matrix."""
-    c = np.asarray(corr_matrix, dtype=float)
-    if c.shape != (3, 3):
-        raise ValueError(f"correlation matrix must be 3x3, got shape {c.shape}")
-    if not np.all(np.isfinite(c)) or float(np.max(np.abs(c))) > 1.0 + _RANGE_TOL:
-        raise ValueError("correlation entries must lie in [-1, 1]")
-    gram_evals = np.linalg.eigvalsh(c.T @ c)
-    m = max(float(gram_evals[-1] + gram_evals[-2]), 0.0)
-    return _chsh_result(2.0 * math.sqrt(m))
 
 
 def chsh_from_correlations(corr: CorrelationTriple) -> ChshResult:
@@ -94,15 +64,6 @@ def chsh_from_correlations(corr: CorrelationTriple) -> ChshResult:
 def chsh_max(params: CouplingParams) -> ChshResult:
     """Maximal CHSH value of the thermal state at couplings (u, v)."""
     return chsh_from_correlations(correlations(params))
-
-
-def negativity(rho, tol: float = 1e-10) -> NegativityResult:
-    """Negativity of an arbitrary two-qubit density matrix, by definition:
-    eigendecompose the partial transpose and sum the negative part."""
-    rho = require_density_matrix(rho, tol)
-    evals = np.linalg.eigvalsh(partial_transpose_a(rho))
-    value = float(np.sum(np.maximum(0.0, -evals)))
-    return NegativityResult(value=value, pt_eigenvalues=evals)
 
 
 def negativity_bell_diagonal(spectral: SpectralData) -> float:

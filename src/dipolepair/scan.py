@@ -22,9 +22,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import core
-from .core import NONLOCAL_CHSH_TOL, SEPARABLE_NEGATIVITY_TOL, Region
-from .dipolar import COUPLING_LIMIT, CorrelationTriple, CouplingParams, spectrum
-from .linalg import BellLabel
+from .core import SEPARABLE_NEGATIVITY_TOL, Region
+from .dipolar import COUPLING_LIMIT, BellLabel, CorrelationTriple, CouplingParams, spectrum
 from .measures import chsh_from_correlations, negativity_bell_diagonal
 from .teleport import best_fidelity
 
@@ -128,7 +127,7 @@ def evaluate_point(params: CouplingParams) -> ScanRecord:
     label, weight = spectral.dominant()
     if neg < SEPARABLE_NEGATIVITY_TOL:
         region = Region.SEPARABLE
-    elif chsh.value > 2.0 + NONLOCAL_CHSH_TOL:
+    elif chsh.violating:
         region = Region.NONLOCAL
     else:
         region = Region.ENTANGLED_LOCAL

@@ -10,21 +10,17 @@ import time
 
 import numpy as np
 
-from dipolepair.dipolar import (
-    CouplingParams,
-    SpectralData,
-    correlations,
+from dipolepair.dipolar import BellLabel, CouplingParams, SpectralData, correlations, spectrum
+from dipolepair.measures import CHSH_QUANTUM_BOUND, chsh_max, negativity_bell_diagonal
+from dipolepair.reference import (
+    average_fidelity_quadrature,
+    bell_state,
+    gibbs,
     hamiltonian_from_tensor,
     hamiltonian_matrix,
-    spectrum,
-    thermal_state,
-)
-from dipolepair.linalg import BellLabel, bell_state, gibbs, projector
-from dipolepair.measures import (
-    CHSH_QUANTUM_BOUND,
-    chsh_max,
     negativity,
-    negativity_bell_diagonal,
+    projector,
+    thermal_state,
 )
 from dipolepair.scan import (
     BoundaryQuantity,
@@ -33,12 +29,7 @@ from dipolepair.scan import (
     scan_grid,
     trace_boundary,
 )
-from dipolepair.teleport import (
-    average_fidelity,
-    average_fidelity_quadrature,
-    best_fidelity,
-    minimum_fidelity,
-)
+from dipolepair.teleport import average_fidelity, best_fidelity, minimum_fidelity
 from dipolepair.cli import run_cli
 
 GRID41 = GridSpec(-10.0, 10.0, -10.0, 10.0, 41, 41)

@@ -186,12 +186,14 @@ class TestDominantCommand:
     ["scan", "--u", "0:1:3", "--v", "0:1:3"],
     ["boundary", "--quantity", "negativity", "--u", "-10:10:21", "--v", "-10:10:21"],
 ])
-def test_unwritable_out_is_usage_error(command, tmp_path, capsys):
+def test_unwritable_out_is_usage_error(command, tmp_path, capsys, monkeypatch):
     # a missing directory fails to open the temp file; an existing
-    # directory fails the final rename, after the temp file was written
+    # directory and the empty name fail the final rename, after the temp
+    # file was written (into the working directory, for the empty name)
+    monkeypatch.chdir(tmp_path)
     existing = tmp_path / "existing"
     existing.mkdir()
-    for out in (tmp_path / "missing" / "x.csv", existing):
+    for out in (tmp_path / "missing" / "x.csv", existing, ""):
         code, stdout, err = run(capsys, *command, "--out", str(out))
         assert code == 2
         assert stdout == ""

@@ -12,18 +12,23 @@ import pytest
 
 from dipolepair.dipolar import (
     COUPLING_LIMIT,
+    BellLabel,
     CorrelationTriple,
     CouplingParams,
     SpectralData,
     bell_energies,
     correlations,
+    spectrum,
+)
+from dipolepair.reference import (
+    bell_state,
     fano_marginals,
+    gibbs,
     hamiltonian_from_tensor,
     hamiltonian_matrix,
-    spectrum,
+    projector,
     thermal_state,
 )
-from dipolepair.linalg import BellLabel, bell_state, gibbs, projector
 
 # frozen oracle values at (u, v) = (3, 1)
 W31 = {

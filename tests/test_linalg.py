@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dipolepair.linalg import (
-    BellLabel,
+from dipolepair.dipolar import BellLabel
+from dipolepair.reference import (
     EigenSystem,
     bell_state,
     bloch_to_state,

@@ -9,22 +9,26 @@ import numpy as np
 import pytest
 
 from dipolepair.dipolar import (
+    BellLabel,
     CorrelationTriple,
     CouplingParams,
     SpectralData,
     correlations,
     spectrum,
-    thermal_state,
 )
-from dipolepair.linalg import BellLabel, bell_state, projector
 from dipolepair.measures import (
     CHSH_QUANTUM_BOUND,
     ChshResult,
     chsh_from_correlations,
     chsh_max,
+    negativity_bell_diagonal,
+)
+from dipolepair.reference import (
+    bell_state,
     chsh_max_general,
     negativity,
-    negativity_bell_diagonal,
+    projector,
+    thermal_state,
 )
 
 B31 = 1.3070647024048123

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dipolepair.dipolar import CouplingParams, spectrum
-from dipolepair.linalg import BellLabel
+from dipolepair.dipolar import BellLabel, CouplingParams, spectrum
 from dipolepair.scan import (
     BoundaryQuantity,
     GridSpec,

@@ -9,19 +9,23 @@ import math
 import numpy as np
 import pytest
 
-from dipolepair.dipolar import CouplingParams, SpectralData, spectrum
-from dipolepair.linalg import BellLabel, bell_state, pauli, projector
-from dipolepair.teleport import (
+from dipolepair.dipolar import BellLabel, CouplingParams, SpectralData, spectrum
+from dipolepair.reference import (
     BlochAngles,
-    FidelityReport,
-    average_fidelity,
     average_fidelity_quadrature,
-    best_fidelity,
+    bell_state,
     channel_output,
     channel_state,
     fidelity_pointwise,
-    minimum_fidelity,
+    pauli,
     pauli_conjugation,
+    projector,
+)
+from dipolepair.teleport import (
+    FidelityReport,
+    average_fidelity,
+    best_fidelity,
+    minimum_fidelity,
 )
 
 F31 = 0.689631096925682
