@@ -153,6 +153,10 @@ def run_cli(argv: list[str] | None = None) -> int:
 
     out_path = getattr(args, "out", None)
     try:
+        # reject a path that cannot name a file before evaluating anything
+        if out_path is not None and (not os.path.basename(out_path)
+                                     or os.path.isdir(out_path)):
+            raise OSError("not a file name")
         if args.command == "point":
             record = evaluate_point(CouplingParams(args.u, args.v))
             lines = scan_rows([record], args.normalized_negativity)

@@ -124,7 +124,8 @@ def evaluate(u, v) -> PhaseArrays:
 
     # Python's float ** 2 goes through libm pow, which can differ from x * x
     # in the last bit; the scalar route squares that way, so this one does too
-    a, b, s = np.array([x ** 2 for x in c.ravel().tolist()]).reshape(-1, 3).T
+    # (float_power calls pow; np.power and x * x may not)
+    a, b, s = np.float_power(c, 2.0).T
     chsh = 2.0 * np.sqrt(np.maximum(np.maximum(a + b, a + s), b + s))
     _require((chsh >= -VALIDATION_TOL)
              & (chsh <= CHSH_QUANTUM_BOUND + VALIDATION_TOL), u, v,

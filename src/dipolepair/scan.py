@@ -252,24 +252,27 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
 
     Every grid edge whose endpoint signs differ is bisected to a root with
     |field| < tol; roots are joined into segments cell by cell and stitched
-    into polylines.  Output ordering is deterministic: open chains first,
-    then loops, each starting from the smallest edge id.  A root that
-    misses the tolerance raises ValueError.
+    into polylines, each closed loop emitted once.  Output ordering is
+    deterministic: open chains first, then loops, each starting from the
+    smallest edge id (horizontal edges before vertical, then by u index,
+    then by v index).  A root that misses the tolerance raises ValueError.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     quantity = BoundaryQuantity(quantity)
     field = boundary_field(quantity)
     us, vs = grid.u_coords(), grid.v_coords()
-    blocks = [_field_values(quantity, b) for b in _blocks(grid)]
-    values = np.concatenate(blocks).reshape(grid.nv, grid.nu)
+    values = np.concatenate([_field_values(quantity, b) for b in _blocks(grid)])
+    values = values.reshape(grid.nv, grid.nu)
     positive = values >= 0.0
 
-    # edge ids: ("h", i, j) spans u_i..u_{i+1} at v_j; ("v", i, j) spans
-    # v_j..v_{j+1} at u_i; both index lists run row-major over (j, i)
-    h_j, h_i = np.nonzero(positive[:, :-1] != positive[:, 1:])
-    v_j, v_i = np.nonzero(positive[:-1, :] != positive[1:, :])
-    horizontal = np.arange(h_j.size + v_j.size) < h_j.size
+    # edge ids in the order (horizontal first, i, j): horizontal edge (i, j)
+    # spans u_i..u_{i+1} at v_j, vertical edge (i, j) spans v_j..v_{j+1} at u_i
+    crossed_h = positive[:, :-1] != positive[:, 1:]
+    crossed_v = positive[:-1, :] != positive[1:, :]
+    h_i, h_j = np.nonzero(crossed_h.T)
+    v_i, v_j = np.nonzero(crossed_v.T)
+    horizontal = np.arange(h_i.size + v_i.size) < h_i.size
     fixed = np.concatenate((vs[h_j], us[v_i]))
     along = bisect_root(
         lambda x: field(np.where(horizontal, x, fixed), np.where(horizontal, fixed, x)),
@@ -286,68 +289,50 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
             f"contour root at ({float(root_u[k])!r}, {float(root_v[k])!r}) has "
             f"residual {residual[k]:.3e}, not below the tolerance {tol:g}"
         )
-    edges = [("h", i, j) for j, i in zip(h_j.tolist(), h_i.tolist())]
-    edges += [("v", i, j) for j, i in zip(v_j.tolist(), v_i.tolist())]
-    roots = dict(zip(edges, zip(root_u.tolist(), root_v.tolist())))
 
-    segments: list[tuple[tuple[str, int, int], tuple[str, int, int]]] = []
-    for j in range(grid.nv - 1):
-        for i in range(grid.nu - 1):
-            bottom, right = ("h", i, j), ("v", i + 1, j)
-            top, left = ("h", i, j + 1), ("v", i, j)
-            crossed = [e for e in (bottom, right, top, left) if e in roots]
-            if not crossed:
-                continue
-            if len(crossed) == 2:
-                segments.append((crossed[0], crossed[1]))
-            elif len(crossed) == 4:
-                # saddle cell: resolve the pairing with the centre sign
-                centre = field((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
-                if (centre >= 0.0) == positive[j, i]:
-                    segments.append((bottom, right))
-                    segments.append((top, left))
-                else:
-                    segments.append((bottom, left))
-                    segments.append((top, right))
-            else:
-                raise RuntimeError(
-                    f"inconsistent sign pattern in cell ({i}, {j}): "
-                    f"{len(crossed)} crossed edges"
-                )
+    # crossed-edge id of each side (bottom, right, top, left) of the cells
+    # that have a crossed side, or -1; the signs change an even number of
+    # times around a cell, so it has two crossed sides or, at a saddle, four.
+    # int32 halves the id grids; the point budget keeps edges below 2**31
+    id_h = np.full(crossed_h.shape, -1, dtype=np.int32)
+    id_h[h_j, h_i] = np.arange(h_i.size)
+    id_v = np.full(crossed_v.shape, -1, dtype=np.int32)
+    id_v[v_j, v_i] = h_i.size + np.arange(v_i.size)
+    c_j, c_i = np.nonzero(crossed_h[:-1] | crossed_v[:, 1:] | crossed_h[1:] | crossed_v[:, :-1])
+    sides = np.column_stack((id_h[c_j, c_i], id_v[c_j, c_i + 1],
+                             id_h[c_j + 1, c_i], id_v[c_j, c_i]))
+    # saddle cell: the sign at the centre picks the pairing
+    saddle = np.all(sides >= 0, axis=1)
+    s_j, s_i = c_j[saddle], c_i[saddle]
+    bottom, right, top, left = sides[saddle].T
+    centre = field((us[s_i] + us[s_i + 1]) / 2.0, (vs[s_j] + vs[s_j + 1]) / 2.0)
+    with_right = (centre >= 0.0) == positive[s_j, s_i]
+    segments = np.concatenate((
+        np.sort(sides[~saddle])[:, 2:],
+        np.column_stack((bottom, np.where(with_right, right, left))),
+        np.column_stack((top, np.where(with_right, left, right))),
+    ))
 
-    adjacency: dict[tuple[str, int, int], list[tuple[str, int, int]]] = {
-        e: [] for e in roots
-    }
-    for a, b in segments:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
-    visited: set[tuple[str, int, int]] = set()
+    neighbours: list[list[int]] = [[] for _ in range(along.size)]
+    for a, b in segments.tolist():
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    points = list(zip(root_u.tolist(), root_v.tolist()))
+    visited = [False] * along.size
     polylines: list[ContourPolyline] = []
-
-    def walk(start: tuple[str, int, int]) -> list[tuple[str, int, int]]:
-        chain = [start]
-        visited.add(start)
-        current = start
-        while True:
-            options = [e for e in adjacency[current] if e not in visited]
-            if not options:
-                return chain
+    ends = [e for e, near in enumerate(neighbours) if len(near) == 1]
+    for start in ends + list(range(along.size)):
+        if visited[start]:
+            continue
+        chain, current = [start], start
+        visited[start] = True
+        while options := [e for e in neighbours[current] if not visited[e]]:
             current = min(options)
-            visited.add(current)
+            visited[current] = True
             chain.append(current)
-
-    for start in sorted(e for e in roots if len(adjacency[e]) == 1):
-        if start not in visited:
-            chain = walk(start)
-            polylines.append(
-                ContourPolyline(quantity, tuple(roots[e] for e in chain), closed=False)
-            )
-    for start in sorted(e for e in roots if e not in visited):
-        chain = walk(start)
-        polylines.append(
-            ContourPolyline(quantity, tuple(roots[e] for e in chain), closed=True)
-        )
+        # a walk that does not start at an end goes round a loop
+        polylines.append(ContourPolyline(quantity, tuple(points[e] for e in chain),
+                                         closed=len(neighbours[start]) != 1))
     return polylines
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 import multiprocessing.process
+import os
 import runpy
 import sys
 
@@ -182,19 +183,27 @@ class TestDominantCommand:
         assert "psi_minus" not in rows.values()
 
 
+def _no_evaluation(u, v):
+    raise AssertionError("evaluated before the --out path was checked")
+
+
 @pytest.mark.parametrize("command", [
     ["scan", "--u", "0:1:3", "--v", "0:1:3"],
     ["boundary", "--quantity", "negativity", "--u", "-10:10:21", "--v", "-10:10:21"],
 ])
 def test_unwritable_out_is_usage_error(command, tmp_path, capsys, monkeypatch):
-    # a missing directory fails to open the temp file; an existing
-    # directory and the empty name fail the final rename, after the temp
-    # file was written (into the working directory, for the empty name)
+    # a missing directory fails to open the temp file; the empty name, a
+    # name ending in a separator and an existing directory cannot name a
+    # file and are rejected before anything is evaluated
     monkeypatch.chdir(tmp_path)
     existing = tmp_path / "existing"
     existing.mkdir()
-    for out in (tmp_path / "missing" / "x.csv", existing, ""):
-        code, stdout, err = run(capsys, *command, "--out", str(out))
+    for out, early in ((str(tmp_path / "missing" / "x.csv"), False), (str(existing), True),
+                       ("", True), (f"{tmp_path / 'new'}{os.sep}", True)):
+        with monkeypatch.context() as m:
+            if early:
+                m.setattr(core, "evaluate", _no_evaluation)
+            code, stdout, err = run(capsys, *command, "--out", out)
         assert code == 2
         assert stdout == ""
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1

@@ -36,3 +36,13 @@ def test_psi_minus_dominance_is_a_hard_error():
     with pytest.raises(RuntimeError, match="PsiMinus"):
         core.dominant(w, np.zeros(2), np.zeros(2))
     assert core.dominant(w[:1], np.zeros(1), np.zeros(1)).tolist() == [0]
+
+
+def test_squares_as_python_float_power_does():
+    # the scalar route squares with Python's x ** 2 (libm pow); on this
+    # draw x * x differs from pow in the last bit somewhere, float_power nowhere
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 900_000), rng.uniform(-1e-3, 1e-3, 100_000)])
+    want = np.array([t ** 2 for t in x.tolist()])
+    np.testing.assert_array_equal(np.float_power(x, 2.0), want)
+    assert np.any(x * x != want)

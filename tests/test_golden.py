@@ -2,6 +2,9 @@
 
 The hashes were taken from the per-point implementation; any change to the
 numerics or the CSV formatting that moves a single bit of output fails here.
+The three +-2000 `boundary` hashes were taken again when each closed contour
+loop came to be emitted once: the same rows, less the one-point polylines
+that used to repeat each further root of a loop.
 The +-2000 grid reaches the envelope where Boltzmann weights underflow; both
 grids contain the u = 0 and v = 0 tie lines, and both hold roots of all
 three boundary quantities.
@@ -27,11 +30,11 @@ GOLDEN = [
     (["dominant", *LOCAL],
      "f8cc79652ebb13760d90b8e7c77f61c1da1cf6130d8e3eb6d964abb1d4a2a31d"),
     (["boundary", "--quantity", "chsh", *ENVELOPE],
-     "f842fe290984fc67aa7ba5ace219d476c4492bcc582106280ef6154162769e13"),
+     "ede8a024ff0c8dae7b79a8fe8d751ab5eb184a3438fdf7a33b6834453319b0b1"),
     (["boundary", "--quantity", "negativity", *ENVELOPE],
-     "d3b9de2d0242b6b43beb2183217f7bcbbbfdc1285bf4d0a24c05f01020f4c512"),
+     "3a3db97d522abaa684e1f39f8fddf61954529f8536ba11547891cec6d94c30dc"),
     (["boundary", "--quantity", "fidelity", *ENVELOPE],
-     "2773b46f61c1b0ca9b1596294f98772096e7141179b4757c5df94a4df5272598"),
+     "f1b049c81c5113443788b18f63fe5f9774b14649ffa993a7824fafeb167e58ab"),
     (["boundary", "--quantity", "chsh", *LOCAL],
      "abc4b832249a6ce66fedc05b8049d0e7b116f2a8ef6b3a4aafcba9cb4472ed39"),
     (["boundary", "--quantity", "negativity", *LOCAL],

@@ -2,12 +2,12 @@
 tracer must keep: bit equality of the boundary fields with the per-point
 route, lockstep bisection equal to bracket-by-bracket bisection, the
 v -> -v parity of the phase plane, the region partition, and contour roots
-that sit on grid edges with residuals below the tolerance.
+that sit on grid edges, one per crossed edge and each closed loop once,
+with residuals below the tolerance.
 
 Runs are derandomized, so the suite draws the same examples every time.
 """
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from dipolepair import core
@@ -159,29 +159,35 @@ def test_contour_roots_sit_on_crossed_edges(quantity, grid):
     field = boundary_field(quantity)
     us, vs = grid.u_coords(), grid.v_coords()
     positive = field(*np.meshgrid(us, vs)) >= 0.0
-    # a crossed edge as (fixed axis, fixed value, along-axis interval)
-    crossed = [("v", vs[j], us[i], us[i + 1])
+    # a crossed edge as (fixed axis, fixed value, along-axis interval, the
+    # cells (i, j) it is a side of); cells off the grid never meet
+    crossed = [("v", vs[j], us[i], us[i + 1], {(i, j - 1), (i, j)})
                for j, i in zip(*np.nonzero(positive[:, :-1] != positive[:, 1:]))]
-    crossed += [("u", us[i], vs[j], vs[j + 1])
+    crossed += [("u", us[i], vs[j], vs[j + 1], {(i - 1, j), (i, j)})
                 for j, i in zip(*np.nonzero(positive[:-1, :] != positive[1:, :]))]
-    roots = [pt for poly in trace_boundary(quantity, grid) for pt in poly.points]
+    polylines = trace_boundary(quantity, grid)
+    roots = [pt for poly in polylines for pt in poly.points]
 
     def on(edge, pt):
-        axis, fixed, lo, hi = edge
+        axis, fixed, lo, hi, _ = edge
         at, along = (pt[1], pt[0]) if axis == "v" else pt
         return at == fixed and lo <= along <= hi
 
-    # distinct points only: a closed loop repeats its roots (see below)
-    assert len(set(roots)) <= len(crossed)
+    def cells(pt):
+        return set().union(*(e[4] for e in crossed if on(e, pt)))
+
+    # one root per crossed edge, none repeated
+    assert len(roots) == len(set(roots)) == len(crossed)
     assert all(any(on(e, pt) for pt in roots) for e in crossed)
     assert all(any(on(e, pt) for e in crossed) for pt in roots)
+    # each step of a polyline, and the step that closes a loop, stays in a cell
+    for poly in polylines:
+        pts = poly.points + poly.points[:1] * poly.closed
+        assert all(cells(a) & cells(b) for a, b in zip(pts, pts[1:]))
     if roots:
         assert np.all(np.abs(field(*np.array(roots).T)) < DEFAULT_ROOT_TOL)
 
 
-@pytest.mark.xfail(strict=True, reason="trace_boundary starts a new closed polyline "
-                   "at every edge of a loop after the first, emitting each as one "
-                   "repeated point; the golden boundary hashes pin that output")
 def test_a_closed_loop_is_emitted_once():
     # CHSH < 2 at the vertex (6.4, 6.0), > 2 at its four neighbours: one loop
     grid = GridSpec(0.0, 32.0, 4.0, 8.0, 6, 3)

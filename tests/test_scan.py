@@ -6,6 +6,7 @@ import pytest
 
 from dipolepair.dipolar import BellLabel, CouplingParams, spectrum
 from dipolepair.scan import (
+    GRID_POINT_LIMIT,
     BoundaryQuantity,
     GridSpec,
     GridTooLargeError,
@@ -252,6 +253,39 @@ class TestTraceBoundary:
         assert len(neg_pts) == len(fid_pts)
         for (u1, v1), (u2, v2) in zip(neg_pts, fid_pts):
             assert math.hypot(u1 - u2, v1 - v2) < 2e-9
+
+    def test_saddle_cell_pairs_sides_by_the_centre_sign(self):
+        # all four sides of cell (1, 0) are crossed: the centre sign joins
+        # bottom to right for chsh and bottom to left for the other two;
+        # frozen from the per-cell implementation
+        g = GridSpec(-6.8, 11.5, 1.0, 22.0, 3, 3)
+        far_corner = (False, ((11.5, 11.456229051250105), (11.456548652125424, 11.5),
+                              (11.5, 11.542832622099182)))
+        expected = {
+            BoundaryQuantity.CHSH_MINUS_2: [
+                (False, ((5.151959795304562, 1.0), (11.5, 10.62065191025731))),
+                (False, ((-6.8, 1.4850280985885735), (2.3500000000000005, 4.873604394037637),
+                         (10.681838501872313, 11.5), (11.5, 12.22619960305496))),
+            ],
+            BoundaryQuantity.NEGATIVITY: [
+                (False, ((-2.142859857544153, 1.0), (2.3500000000000005, 3.1869447411941665),
+                         (2.679576426508122, 1.0))),
+                far_corner,
+            ],
+            BoundaryQuantity.FIDELITY_MINUS_TWO_THIRDS: [
+                (False, ((-2.142859857544153, 1.0), (2.3500000000000005, 3.1869447411941665),
+                         (2.6795764265081212, 1.0))),
+                far_corner,
+            ],
+        }
+        for quantity, want in expected.items():
+            polys = trace_boundary(quantity, g)
+            assert [(p.closed, p.points) for p in polys] == want
+
+    def test_edge_ids_fit_int32_within_the_point_budget(self):
+        # trace_boundary numbers crossed edges in int32 grids; a grid has
+        # fewer than two edges per point
+        assert 2 * GRID_POINT_LIMIT < 2 ** 31
 
     def test_rejects_bad_tolerance(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
