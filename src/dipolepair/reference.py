@@ -1,5 +1,6 @@
 """Definition-level routes: dense two-qubit matrices, eigensolves, channel
-arithmetic and sphere quadrature.
+arithmetic and sphere quadrature, plus the scalar closed-form route that
+the array core must equal to the bit.
 
 Each function here builds a quantity from its definition, independently of
 the closed forms in `dipolar`, `measures` and `teleport`, so tests can hold
@@ -17,8 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipolar import VALIDATION_TOL, BellLabel, CouplingParams, SpectralData, spectrum
-from .measures import ChshResult, _chsh_result
+from .core import SEPARABLE_NEGATIVITY_TOL, Region
+from .dipolar import (
+    VALIDATION_TOL,
+    BellLabel,
+    CorrelationTriple,
+    CouplingParams,
+    SpectralData,
+    spectrum,
+)
+from .measures import ChshResult, _chsh_result, chsh_from_correlations, negativity_bell_diagonal
+from .scan import ScanRecord
+from .teleport import best_fidelity
 
 HERMITIAN_INPUT_TOL = 1e-10
 
@@ -425,3 +436,33 @@ def average_fidelity_quadrature(spectral: SpectralData, k0: BellLabel, order: in
     # Gauss weights integrate to 2 over cos(theta); phi nodes carry 2*pi/n_phi:
     # dividing by 4*pi leaves 1/(2 n_phi)
     return total / (2.0 * n_phi)
+
+
+# -- the scalar closed-form route -------------------------------------------
+
+def scalar_record(params: CouplingParams) -> ScanRecord:
+    """All reported quantities at one coupling point, one float at a time
+    through the validating dataclasses: `SpectralData`, `CorrelationTriple`,
+    `ChshResult` and `FidelityReport` check every derived invariant on the
+    way, so a result equal to the array core's checks the core's output."""
+    spectral = spectrum(params)
+    chsh = chsh_from_correlations(CorrelationTriple.from_weights(spectral.weights))
+    neg = negativity_bell_diagonal(spectral)
+    report = best_fidelity(spectral)
+    label, weight = spectral.dominant()
+    if neg < SEPARABLE_NEGATIVITY_TOL:
+        region = Region.SEPARABLE
+    elif chsh.violating:
+        region = Region.NONLOCAL
+    else:
+        region = Region.ENTANGLED_LOCAL
+    return ScanRecord(
+        u=params.u,
+        v=params.v,
+        chsh=chsh.value,
+        negativity=neg,
+        fidelity=report.best,
+        dominant_weight=weight,
+        dominant_label=label,
+        region=region,
+    )

@@ -8,8 +8,8 @@ Each grid point is classified into one of three regions:
 
 Three signed boundary fields share the same zero sets as the physically
 interesting transitions: chsh - 2, max_a p_a - 1/2 (signed version of the
-negativity onset) and fidelity - 2/3.  Scans, maps and contours all read
-the array core.  Contours are traced by bisecting the sign changes along
+negativity onset) and fidelity - 2/3.  Single points, scans, maps and
+contours all read the array core.  Contours are traced by bisecting the sign changes along
 grid edges in lockstep and joining the roots cell by cell (marching
 squares, saddle cells split by the sign at the centre).
 """
@@ -22,10 +22,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import core
-from .core import SEPARABLE_NEGATIVITY_TOL, Region
-from .dipolar import COUPLING_LIMIT, BellLabel, CorrelationTriple, CouplingParams, spectrum
-from .measures import chsh_from_correlations, negativity_bell_diagonal
-from .teleport import best_fidelity
+from .core import Region
+from .dipolar import COUPLING_LIMIT, BellLabel, CouplingParams
 
 GRID_POINT_LIMIT = 10 ** 8
 DEFAULT_ROOT_TOL = 1e-9
@@ -72,7 +70,11 @@ class GridSpec:
             object.__setattr__(self, name, x)
         for name in ("nu", "nv"):
             n = getattr(self, name)
-            if int(n) != n or int(n) < 2:
+            try:
+                ok = int(n) == n and int(n) >= 2
+            except (TypeError, ValueError, OverflowError):  # None, nan, inf
+                ok = False
+            if not ok:
                 raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
             object.__setattr__(self, name, int(n))
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
@@ -118,31 +120,6 @@ class ScanRecord:
     region: Region
 
 
-def evaluate_point(params: CouplingParams) -> ScanRecord:
-    """All reported quantities of the thermal state at one coupling point."""
-    spectral = spectrum(params)
-    chsh = chsh_from_correlations(CorrelationTriple.from_weights(spectral.weights))
-    neg = negativity_bell_diagonal(spectral)
-    report = best_fidelity(spectral)
-    label, weight = spectral.dominant()
-    if neg < SEPARABLE_NEGATIVITY_TOL:
-        region = Region.SEPARABLE
-    elif chsh.violating:
-        region = Region.NONLOCAL
-    else:
-        region = Region.ENTANGLED_LOCAL
-    return ScanRecord(
-        u=params.u,
-        v=params.v,
-        chsh=chsh.value,
-        negativity=neg,
-        fidelity=report.best,
-        dominant_weight=weight,
-        dominant_label=label,
-        region=region,
-    )
-
-
 def _blocks(grid: GridSpec) -> Iterator[core.PhaseArrays]:
     """The core evaluated on consecutive row-major runs of grid points."""
     us, vs = grid.u_coords(), grid.v_coords()
@@ -152,16 +129,27 @@ def _blocks(grid: GridSpec) -> Iterator[core.PhaseArrays]:
         yield core.evaluate(us[k % grid.nu], vs[k // grid.nu])
 
 
+def _records(b: core.PhaseArrays) -> Iterator[ScanRecord]:
+    """One record per point of an evaluated block, in block order."""
+    labels = [core.LABELS[i] for i in b.dominant.tolist()]
+    regions = [core.REGIONS[i] for i in b.region.tolist()]
+    for row in zip(b.u.tolist(), b.v.tolist(), b.chsh.tolist(),
+                   b.negativity.tolist(), b.fidelity.tolist(),
+                   b.dominant_weight.tolist(), labels, regions):
+        yield ScanRecord(*row)
+
+
+def evaluate_point(params: CouplingParams) -> ScanRecord:
+    """All reported quantities of the thermal state at one coupling point:
+    the array core at N = 1."""
+    return next(_records(core.evaluate(params.u, params.v)))
+
+
 def scan_records(grid: GridSpec) -> Iterator[ScanRecord]:
     """Every grid point, row-major (v outer, u inner), computed a block of
     points at a time so memory does not grow with the grid."""
     for b in _blocks(grid):
-        labels = [core.LABELS[i] for i in b.dominant.tolist()]
-        regions = [core.REGIONS[i] for i in b.region.tolist()]
-        for row in zip(b.u.tolist(), b.v.tolist(), b.chsh.tolist(),
-                       b.negativity.tolist(), b.fidelity.tolist(),
-                       b.dominant_weight.tolist(), labels, regions):
-            yield ScanRecord(*row)
+        yield from _records(b)
 
 
 def scan_grid(grid: GridSpec, workers: int | None = None) -> list[ScanRecord]:

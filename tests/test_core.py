@@ -4,20 +4,25 @@ import pytest
 
 from dipolepair import core
 from dipolepair.dipolar import CouplingParams
+from dipolepair.reference import scalar_record
 from dipolepair.scan import evaluate_point
 
 
 def test_matches_evaluate_point_at_scattered_points():
+    # a block of 3200 points, evaluate_point (the core at N = 1) and the
+    # scalar route through the validating dataclasses all agree
     rng = np.random.default_rng(5)
     u = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
     v = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
     b = core.evaluate(u, v)
     for k in range(len(u)):
-        rec = evaluate_point(CouplingParams(u[k], v[k]))
+        p = CouplingParams(u[k], v[k])
+        rec = scalar_record(p)
         assert (b.chsh[k], b.negativity[k], b.fidelity[k], b.dominant_weight[k]) == (
             rec.chsh, rec.negativity, rec.fidelity, rec.dominant_weight)
         assert core.LABELS[b.dominant[k]] is rec.dominant_label
         assert core.REGIONS[b.region[k]] is rec.region
+        assert evaluate_point(p) == rec
 
 
 @pytest.mark.parametrize("u, v", [
@@ -29,13 +34,6 @@ def test_matches_evaluate_point_at_scattered_points():
 def test_rejects_couplings_outside_the_envelope(u, v):
     with pytest.raises(ValueError):
         core.evaluate(u, v)
-
-
-def test_psi_minus_dominance_is_a_hard_error():
-    w = np.array([[0.25, 0.25, 0.25, 0.25], [0.1, 0.1, 0.1, 0.7]])
-    with pytest.raises(RuntimeError, match="PsiMinus"):
-        core.dominant(w, np.zeros(2), np.zeros(2))
-    assert core.dominant(w[:1], np.zeros(1), np.zeros(1)).tolist() == [0]
 
 
 def test_squares_as_python_float_power_does():

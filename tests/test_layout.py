@@ -1,6 +1,7 @@
 """Layout of the package: the production import path stays free of the
-definition-level oracles, no module carries an unused import, and the
-public namespace resolves.
+definition-level oracles, the array core and the scans import nothing of
+the scalar route, no module carries an unused import, and the public
+namespace resolves.
 
 Standard library only, so the checks run wherever the test suite does.
 """
@@ -63,6 +64,23 @@ def test_no_unused_top_level_import(path):
 def test_unused_import_check_sees_an_unused_name():
     source = "import math\nimport numpy as np\nfrom .x import a, b\n__all__ = ['b']\nnp.ones(a)\n"
     assert unused_imports(source) == ["math (line 1)"]
+
+
+def imported_names(source: str) -> set[str]:
+    """Every name a module imports, at any depth."""
+    return {alias.name.split(".")[-1] for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+# the scalar route through the validating dataclasses; the array core is the
+# one production path, and `reference.scalar_record` keeps the scalar one
+SCALAR_ROUTE = {"spectrum", "SpectralData", "CorrelationTriple", "chsh_from_correlations",
+                "negativity_bell_diagonal", "best_fidelity"}
+
+
+@pytest.mark.parametrize("module", ["core.py", "scan.py"])
+def test_array_path_stays_off_the_scalar_route(module):
+    assert imported_names((PACKAGE / module).read_text()) & SCALAR_ROUTE == set()
 
 
 def test_every_exported_name_resolves():

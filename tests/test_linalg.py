@@ -1,4 +1,6 @@
-"""Tests for the dense linear-algebra layer."""
+"""Tests for the dense two-qubit linear algebra of `dipolepair.reference`:
+Pauli matrices, tensor products, Bell states, Hermitian eigensolves,
+partial transpose, trace norm, Gibbs states and Bloch-sphere angles."""
 import math
 
 import numpy as np

@@ -1,18 +1,23 @@
 """Property-based tests of the invariants the array core and the contour
-tracer must keep: bit equality of the boundary fields with the per-point
-route, lockstep bisection equal to bracket-by-bracket bisection, the
-v -> -v parity of the phase plane, the region partition, and contour roots
-that sit on grid edges, one per crossed edge and each closed loop once,
-with residuals below the tolerance.
+tracer must keep: bit equality of the core, over a batch and at N = 1
+(`evaluate_point`), with the scalar route `reference.scalar_record`, whose
+validating dataclasses check the derived invariants on the core's exact
+values (weights a probability vector that never rises with energy,
+correlations in the Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelities in
+[1/3, 1]); Psi-minus never dominant; lockstep bisection equal to
+bracket-by-bracket bisection; the v -> -v parity of the phase plane; the
+region partition; and contour roots that sit on grid edges, one per crossed
+edge and each closed loop once, with residuals below the tolerance.
 
 Runs are derandomized, so the suite draws the same examples every time.
 """
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dipolepair import core
-from dipolepair.dipolar import COUPLING_LIMIT, BellLabel, CouplingParams
+from dipolepair.dipolar import COUPLING_LIMIT, BellLabel, CouplingParams, spectrum
 from dipolepair.measures import CHSH_BOUNDARY_TOL, CHSH_CLASSICAL_BOUND, chsh_max
+from dipolepair.reference import scalar_record
 from dipolepair.scan import (
     DEFAULT_ROOT_TOL,
     BoundaryQuantity,
@@ -31,15 +36,36 @@ coupling = st.floats(-COUPLING_LIMIT, COUPLING_LIMIT, allow_nan=False)
 points = st.lists(st.tuples(coupling, coupling), min_size=1, max_size=40)
 
 
+# edges of the envelope: the axes, the corners, and 3 |v| against |u| at
+# the last bits: u +- 3v still rounds away from u at |v| = 1e-13 and |u| =
+# 2000, and is lost (the Phi+ and Phi- energies tie) in the other three
+AXES = [(0.0, 0.0), (0.0, 2000.0), (0.0, -2000.0), (2000.0, 0.0), (-2000.0, 0.0)]
+CORNERS = [(2000.0, 2000.0), (2000.0, -2000.0), (-2000.0, 2000.0), (-2000.0, -2000.0)]
+LOST = [(2000.0, 1e-13), (-2000.0, -1e-13), (2000.0, 1e-14), (-2000.0, -1e-14), (-1.0, 1e-17)]
+
+FLOATS = ("u", "v", "chsh", "negativity", "fidelity", "dominant_weight")
+
+
 def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
 
 @SETTINGS
 @given(points)
+@example(AXES)
+@example(CORNERS)
+@example(LOST)
 def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
     u, v = np.array(pts).T
-    records = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
+    records = [scalar_record(CouplingParams(a, b)) for a, b in pts]
+    # evaluate_point is the core at N = 1; the fields below call it on a batch
+    at_one = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
+    assert at_one == records
+    np.testing.assert_array_equal(bits([[getattr(r, f) for f in FLOATS] for r in at_one]),
+                                  bits([[getattr(r, f) for f in FLOATS] for r in records]))
+    # so SpectralData's checks on the scalar weights hold for the core's
+    np.testing.assert_array_equal(
+        bits(core.weights(u, v)), bits([spectrum(CouplingParams(a, b)).weights for a, b in pts]))
     expected = {
         BoundaryQuantity.CHSH_MINUS_2: [r.chsh - 2.0 for r in records],
         BoundaryQuantity.NEGATIVITY: [r.dominant_weight - 0.5 for r in records],
@@ -122,7 +148,7 @@ scaled_points = st.lists(st.tuples(scaled, scaled), min_size=1, max_size=40)
 def test_region_partition(pts):
     u, v = np.array(pts).T
     arrays = core.evaluate(u, v)
-    records = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
+    records = [scalar_record(CouplingParams(a, b)) for a, b in pts]
     for k, r in enumerate(records):
         separable = r.negativity < core.SEPARABLE_NEGATIVITY_TOL
         violating = r.chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL
@@ -130,6 +156,17 @@ def test_region_partition(pts):
         # so a point is never both separable and nonlocal
         assert (r.region is Region.NONLOCAL) == (violating and not separable)
         assert core.REGIONS[arrays.region[k]] is r.region
+
+
+@SETTINGS
+@given(scaled_points)
+@example(AXES)
+@example(CORNERS)
+@example(LOST)
+def test_psi_minus_is_never_dominant(pts):
+    # its level sits at energy 0, never strictly below all three others
+    u, v = np.array(pts).T
+    assert not np.any(core.evaluate(u, v).dominant == BellLabel.PSI_MINUS)
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dipolepair.dipolar import BellLabel, CouplingParams, spectrum
+from dipolepair.reference import scalar_record
 from dipolepair.scan import (
     GRID_POINT_LIMIT,
     BoundaryQuantity,
@@ -41,9 +42,10 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1.0, 0.0, 0.0, 1.0, 2, 2)
 
-    def test_rejects_single_point_axis(self):
-        with pytest.raises(ValueError):
-            GridSpec(0.0, 1.0, 0.0, 1.0, 1, 2)
+    @pytest.mark.parametrize("nu", [1, math.inf, math.nan, None])
+    def test_rejects_single_point_axis(self, nu):
+        with pytest.raises(ValueError, match="nu must be an integer >= 2"):
+            GridSpec(0.0, 1.0, 0.0, 1.0, nu, 2)
 
     def test_rejects_bounds_beyond_stability_limit(self):
         with pytest.raises(ValueError, match="stability limit"):
@@ -120,8 +122,7 @@ class TestScanGrid:
         ]
         for g in grids:
             for rec in scan_grid(g):
-                direct = evaluate_point(CouplingParams(rec.u, rec.v))
-                assert rec == direct
+                assert rec == scalar_record(CouplingParams(rec.u, rec.v))
 
     def test_worker_count_invariant(self):
         g = GridSpec(-5.0, 5.0, -5.0, 5.0, 11, 11)
