@@ -43,6 +43,11 @@ GOLDEN = [
      "7bffa1b03359606af32f1c9b75ef1171cc843bf86d7469d4fb3b59da232d2525"),
     (["point", "--u", "3", "--v", "1"],
      "cde15b8ca09c68f0c7865e4bea9eb8a05c9b50eb276a3dffd80a434f999e9ed1"),
+    (["point", "--u", "3", "--v", "1", "--normalized-negativity"],
+     "f7d6f8507a4b28b0e4d7be964ea774335cc6610901f73fa5a6ac2ec85a4707c0"),
+    # the signed zero of u must survive into the row
+    (["point", "--u", "-0.0", "--v", "0"],
+     "9bf15e89a559394f8d4ef48e744da9cbd43dedb05e565d65a719f227078a9108"),
 ]
 
 
