@@ -27,6 +27,8 @@ GOLDEN = [
      "991216ae8b7e7302ecdd7aa1bab1503054e239c440f883d1a038f23dac856585"),
     (["scan", *LOCAL],
      "db90f0bdbcd0f4fa1c0b224ac4e5a38a9fb41a77f2aa78f6e4bf4ab25142231b"),
+    (["scan", *LOCAL, "--normalized-negativity"],
+     "eade8893292f8e9ec1d0bf1440f5b91d986b781d0b2b7bd64b7c857e9dafb914"),
     (["dominant", *LOCAL],
      "f8cc79652ebb13760d90b8e7c77f61c1da1cf6130d8e3eb6d964abb1d4a2a31d"),
     (["boundary", "--quantity", "chsh", *ENVELOPE],
