@@ -6,6 +6,7 @@ import os
 import sys
 from typing import Iterable
 
+from . import core
 from .dipolar import CouplingParams
 from .scan import (
     BoundaryQuantity,
@@ -13,10 +14,8 @@ from .scan import (
     GridSpec,
     GridTooLargeError,
     boundary_rows,
-    dominant_entries,
     dominant_rows,
-    evaluate_point,
-    scan_records,
+    evaluate_grid,
     scan_rows,
     trace_boundary,
 )
@@ -109,7 +108,8 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
 def _emit(lines: Iterable[str], out_path: str | None) -> None:
     """Write CSV lines as they are produced.  A file is written under a
     temporary name beside it and renamed into place only once complete, so
-    a failure part-way leaves any earlier file untouched."""
+    a failure part-way leaves any earlier file untouched.  Links in
+    `out_path` are resolved by the caller, so a link's target is replaced."""
     text = (f"{line}\n" for line in lines)
     if out_path is None:
         sys.stdout.writelines(text)
@@ -152,25 +152,30 @@ def run_cli(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     out_path = getattr(args, "out", None)
+    target = None
     try:
-        # reject a path that cannot name a file before evaluating anything
-        if out_path is not None and (not os.path.basename(out_path)
-                                     or os.path.isdir(out_path)):
-            raise OSError("not a file name")
+        # write through a link; reject a path that cannot name a regular
+        # file (a directory, a FIFO, a device, a link loop) before
+        # evaluating anything
+        if out_path is not None:
+            target = os.path.realpath(out_path)
+            if not os.path.basename(out_path) or (os.path.lexists(target)
+                                                  and not os.path.isfile(target)):
+                raise OSError("not a file name")
         if args.command == "point":
-            record = evaluate_point(CouplingParams(args.u, args.v))
-            lines = scan_rows([record], args.normalized_negativity)
+            p = CouplingParams(args.u, args.v)
+            lines = scan_rows([core.evaluate(p.u, p.v)], args.normalized_negativity)
         elif args.command == "scan":
-            records = scan_records(_grid_from_args(args))
-            lines = scan_rows(records, args.normalized_negativity)
+            lines = scan_rows(evaluate_grid(_grid_from_args(args)),
+                              args.normalized_negativity)
         elif args.command == "boundary":
             polylines = trace_boundary(
                 BoundaryQuantity(args.quantity), _grid_from_args(args), tol=args.tol
             )
             lines = boundary_rows(polylines)
         elif args.command == "dominant":
-            lines = dominant_rows(dominant_entries(_grid_from_args(args)))
-        _emit(lines, out_path)
+            lines = dominant_rows(evaluate_grid(_grid_from_args(args)))
+        _emit(lines, target)
     except GridTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

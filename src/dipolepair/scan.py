@@ -120,8 +120,10 @@ class ScanRecord:
     region: Region
 
 
-def _blocks(grid: GridSpec) -> Iterator[core.PhaseArrays]:
-    """The core evaluated on consecutive row-major runs of grid points."""
+def evaluate_grid(grid: GridSpec) -> Iterator[core.PhaseArrays]:
+    """The core evaluated on consecutive row-major runs (v outer, u inner)
+    of grid points, BLOCK_POINTS at a time, so memory does not grow with
+    the grid."""
     us, vs = grid.u_coords(), grid.v_coords()
     total = grid.nu * grid.nv
     for start in range(0, total, BLOCK_POINTS):
@@ -129,50 +131,36 @@ def _blocks(grid: GridSpec) -> Iterator[core.PhaseArrays]:
         yield core.evaluate(us[k % grid.nu], vs[k // grid.nu])
 
 
-def _records(b: core.PhaseArrays) -> Iterator[ScanRecord]:
-    """One record per point of an evaluated block, in block order."""
-    labels = [core.LABELS[i] for i in b.dominant.tolist()]
-    regions = [core.REGIONS[i] for i in b.region.tolist()]
-    for row in zip(b.u.tolist(), b.v.tolist(), b.chsh.tolist(),
-                   b.negativity.tolist(), b.fidelity.tolist(),
-                   b.dominant_weight.tolist(), labels, regions):
-        yield ScanRecord(*row)
+def _records(blocks: Iterable[core.PhaseArrays]) -> Iterator[ScanRecord]:
+    """One record per point of evaluated blocks, in block order, for the
+    library functions that return records."""
+    for b in blocks:
+        labels = [core.LABELS[i] for i in b.dominant.tolist()]
+        regions = [core.REGIONS[i] for i in b.region.tolist()]
+        for row in zip(b.u.tolist(), b.v.tolist(), b.chsh.tolist(),
+                       b.negativity.tolist(), b.fidelity.tolist(),
+                       b.dominant_weight.tolist(), labels, regions):
+            yield ScanRecord(*row)
 
 
 def evaluate_point(params: CouplingParams) -> ScanRecord:
     """All reported quantities of the thermal state at one coupling point:
     the array core at N = 1."""
-    return next(_records(core.evaluate(params.u, params.v)))
+    return next(_records([core.evaluate(params.u, params.v)]))
 
 
-def scan_records(grid: GridSpec) -> Iterator[ScanRecord]:
-    """Every grid point, row-major (v outer, u inner), computed a block of
-    points at a time so memory does not grow with the grid."""
-    for b in _blocks(grid):
-        yield from _records(b)
-
-
-def scan_grid(grid: GridSpec, workers: int | None = None) -> list[ScanRecord]:
-    """Evaluate every grid point, row-major (v outer, u inner).
-
-    `workers` is accepted for compatibility and has no effect: the whole
-    grid is one array computation, and results equal `evaluate_point` at
-    every point.
-    """
-    return list(scan_records(grid))
-
-
-def dominant_entries(grid: GridSpec) -> Iterator[tuple[float, float, BellLabel, float]]:
-    """Dominant Bell component at every grid point, row-major, a block of
-    points at a time.  Exact ties fall to the earlier label."""
-    for b in _blocks(grid):
-        labels = [core.LABELS[i] for i in b.dominant.tolist()]
-        yield from zip(b.u.tolist(), b.v.tolist(), labels, b.dominant_weight.tolist())
+def scan_grid(grid: GridSpec) -> list[ScanRecord]:
+    """Every grid point, row-major (v outer, u inner); each record equals
+    `evaluate_point` at its coupling point."""
+    return list(_records(evaluate_grid(grid)))
 
 
 def dominant_map(grid: GridSpec) -> list[tuple[float, float, BellLabel, float]]:
-    """Dominant Bell component on the grid, row-major."""
-    return list(dominant_entries(grid))
+    """Dominant Bell component on the grid, row-major, as (u, v, label,
+    weight).  Exact ties fall to the earlier label."""
+    return [(u, v, core.LABELS[d], w) for b in evaluate_grid(grid)
+            for u, v, d, w in zip(b.u.tolist(), b.v.tolist(), b.dominant.tolist(),
+                                  b.dominant_weight.tolist())]
 
 
 def _field_values(quantity: BoundaryQuantity, p: core.PhaseArrays) -> np.ndarray:
@@ -250,7 +238,7 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     quantity = BoundaryQuantity(quantity)
     field = boundary_field(quantity)
     us, vs = grid.u_coords(), grid.v_coords()
-    values = np.concatenate([_field_values(quantity, b) for b in _blocks(grid)])
+    values = np.concatenate([_field_values(quantity, b) for b in evaluate_grid(grid)])
     values = values.reshape(grid.nv, grid.nu)
     positive = values >= 0.0
 
@@ -324,29 +312,26 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     return polylines
 
 
-def _fmt(x: float) -> str:
-    # shortest decimal string that round-trips the double
-    return repr(float(x))
+# Floats are written with repr, the shortest decimal string that round-trips
+# the double, column by column from each block
+_LABEL_NAMES = [label.name.lower() for label in core.LABELS]
+# "label,region" for index dominant * len(REGIONS) + region
+_SUFFIXES = [f"{name},{region.value}" for name in _LABEL_NAMES for region in core.REGIONS]
 
 
-def scan_rows(records: Iterable[ScanRecord], normalized_negativity: bool = False) -> Iterator[str]:
-    """CSV lines for scan records; negativity optionally doubled so a
-    maximally entangled state reads 1 instead of 1/2."""
+def scan_rows(blocks: Iterable[core.PhaseArrays],
+              normalized_negativity: bool = False) -> Iterator[str]:
+    """CSV lines for evaluated core blocks, one row per point in block
+    order; negativity optionally doubled so a maximally entangled state
+    reads 1 instead of 1/2."""
     yield SCAN_HEADER
-    for r in records:
-        neg = 2.0 * r.negativity if normalized_negativity else r.negativity
-        yield ",".join(
-            (
-                _fmt(r.u),
-                _fmt(r.v),
-                _fmt(r.chsh),
-                _fmt(neg),
-                _fmt(r.fidelity),
-                _fmt(r.dominant_weight),
-                r.dominant_label.name.lower(),
-                r.region.value,
-            )
-        )
+    for b in blocks:
+        neg = 2.0 * b.negativity if normalized_negativity else b.negativity
+        suffixes = map(_SUFFIXES.__getitem__,
+                       (b.dominant * len(core.REGIONS) + b.region).tolist())
+        columns = (b.u, b.v, b.chsh, neg, b.fidelity, b.dominant_weight)
+        for row in zip(*(map(repr, c.tolist()) for c in columns), suffixes):
+            yield ",".join(row)
 
 
 def boundary_rows(polylines: Iterable[ContourPolyline]) -> Iterator[str]:
@@ -354,11 +339,14 @@ def boundary_rows(polylines: Iterable[ContourPolyline]) -> Iterator[str]:
     yield BOUNDARY_HEADER
     for contour_id, poly in enumerate(polylines):
         for u, v in poly.points:
-            yield f"{contour_id},{_fmt(u)},{_fmt(v)}"
+            yield f"{contour_id},{u!r},{v!r}"
 
 
-def dominant_rows(entries: Iterable[tuple[float, float, BellLabel, float]]) -> Iterator[str]:
-    """CSV lines for the dominant-component map."""
+def dominant_rows(blocks: Iterable[core.PhaseArrays]) -> Iterator[str]:
+    """CSV lines of the dominant-component map for evaluated core blocks,
+    one row per point in block order."""
     yield DOMINANT_HEADER
-    for u, v, label, weight in entries:
-        yield f"{_fmt(u)},{_fmt(v)},{label.name.lower()},{_fmt(weight)}"
+    for b in blocks:
+        for u, v, d, w in zip(map(repr, b.u.tolist()), map(repr, b.v.tolist()),
+                              b.dominant.tolist(), map(repr, b.dominant_weight.tolist())):
+            yield f"{u},{v},{_LABEL_NAMES[d]},{w}"

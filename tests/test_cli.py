@@ -193,13 +193,19 @@ def _no_evaluation(u, v):
 ])
 def test_unwritable_out_is_usage_error(command, tmp_path, capsys, monkeypatch):
     # a missing directory fails to open the temp file; the empty name, a
-    # name ending in a separator and an existing directory cannot name a
-    # file and are rejected before anything is evaluated
+    # name ending in a separator, an existing directory, a FIFO and a link
+    # to itself cannot name a regular file and are rejected before anything
+    # is evaluated
     monkeypatch.chdir(tmp_path)
     existing = tmp_path / "existing"
     existing.mkdir()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
     for out, early in ((str(tmp_path / "missing" / "x.csv"), False), (str(existing), True),
-                       ("", True), (f"{tmp_path / 'new'}{os.sep}", True)):
+                       ("", True), (f"{tmp_path / 'new'}{os.sep}", True), (str(fifo), True),
+                       (str(loop), True)):
         with monkeypatch.context() as m:
             if early:
                 m.setattr(core, "evaluate", _no_evaluation)
@@ -207,8 +213,25 @@ def test_unwritable_out_is_usage_error(command, tmp_path, capsys, monkeypatch):
         assert code == 2
         assert stdout == ""
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == [existing]
+        assert sorted(tmp_path.iterdir()) == [existing, fifo, loop]
+        assert fifo.is_fifo() and loop.is_symlink()
         assert list(existing.iterdir()) == []
+
+
+@pytest.mark.parametrize("target_exists", [True, False])
+def test_out_writes_through_a_symlink(target_exists, tmp_path, capsys):
+    # the link stays a link and its target, new or old, gets the output
+    target = tmp_path / "target.csv"
+    if target_exists:
+        target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    argv = ["scan", "--u", "0:1:3", "--v", "0:1:3"]
+    _, expected, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == expected
+    assert sorted(tmp_path.iterdir()) == [link, target]
 
 
 class TestUsage:

@@ -5,6 +5,10 @@ numerics or the CSV formatting that moves a single bit of output fails here.
 The three +-2000 `boundary` hashes were taken again when each closed contour
 loop came to be emitted once: the same rows, less the one-point polylines
 that used to repeat each further root of a loop.
+The two `point` hashes with `--normalized-negativity` or a signed zero, and
+the local `scan --normalized-negativity` hash, were taken from the
+record-based formatter before rows came to be formatted from the core's
+columns.
 The +-2000 grid reaches the envelope where Boltzmann weights underflow; both
 grids contain the u = 0 and v = 0 tie lines, and both hold roots of all
 three boundary quantities.
@@ -13,6 +17,7 @@ import hashlib
 
 import pytest
 
+from dipolepair import scan
 from dipolepair.cli import run_cli
 
 ENVELOPE = ["--u", "-2000:2000:41", "--v", "-2000:2000:41"]
@@ -53,8 +58,33 @@ GOLDEN = [
 ]
 
 
+def _digest(argv, capsys):
+    assert run_cli(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_cli_output_hash(argv, digest, capsys):
-    assert run_cli(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert _digest(argv, capsys) == digest
+
+
+# blocks of 7 points split each 49-point row evenly; blocks of 11 put block
+# edges inside rows and leave a last block of 3 points
+@pytest.mark.parametrize("block_points", [7, 11])
+def test_rows_are_unchanged_across_block_edges(block_points, monkeypatch, capsys):
+    monkeypatch.setattr(scan, "BLOCK_POINTS", block_points)
+    local = [(argv, digest) for argv, digest in GOLDEN if LOCAL[1] in argv]
+    assert len(local) == 6  # scan, scan --normalized-negativity, dominant, 3 boundary
+    for argv, digest in local:
+        assert _digest(argv, capsys) == digest, argv
+
+
+def _no_record(*args, **kwargs):
+    raise AssertionError("the CLI built a ScanRecord")
+
+
+def test_cli_rows_build_no_scan_record(monkeypatch, capsys):
+    monkeypatch.setattr(scan, "ScanRecord", _no_record)
+    for argv, digest in GOLDEN:
+        if argv[0] in ("point", "scan", "dominant"):
+            assert _digest(argv, capsys) == digest, argv

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dipolepair import core
 from dipolepair.dipolar import BellLabel, CouplingParams, spectrum
 from dipolepair.reference import scalar_record
 from dipolepair.scan import (
@@ -17,6 +18,7 @@ from dipolepair.scan import (
     boundary_rows,
     dominant_map,
     dominant_rows,
+    evaluate_grid,
     evaluate_point,
     scan_grid,
     scan_rows,
@@ -123,10 +125,6 @@ class TestScanGrid:
         for g in grids:
             for rec in scan_grid(g):
                 assert rec == scalar_record(CouplingParams(rec.u, rec.v))
-
-    def test_worker_count_invariant(self):
-        g = GridSpec(-5.0, 5.0, -5.0, 5.0, 11, 11)
-        assert scan_grid(g, workers=1) == scan_grid(g, workers=3)
 
     def test_v_parity_of_reported_measures(self):
         # u fixed, v -> -v leaves chsh, negativity and fidelity unchanged
@@ -297,14 +295,14 @@ class TestTraceBoundary:
 class TestCsvRows:
     def test_scan_rows_shape_and_header(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
-        lines = list(scan_rows(scan_grid(g)))
+        lines = list(scan_rows(evaluate_grid(g)))
         assert lines[0] == "u,v,chsh,negativity,fidelity,dominant_weight,dominant_label,region"
         assert len(lines) == 5
         assert lines[1].split(",")[0] == "0.0"
 
     def test_scan_rows_roundtrip_floats(self):
         rec = evaluate_point(CouplingParams(3.0, 1.0))
-        line = list(scan_rows([rec]))[1]
+        line = list(scan_rows([core.evaluate(3.0, 1.0)]))[1]
         fields = line.split(",")
         assert float(fields[3]) == rec.negativity
         assert float(fields[4]) == rec.fidelity
@@ -312,9 +310,9 @@ class TestCsvRows:
         assert fields[7] == "entangled_local"
 
     def test_normalized_negativity_doubles(self):
-        rec = evaluate_point(CouplingParams(3.0, 1.0))
-        plain = list(scan_rows([rec]))[1].split(",")[3]
-        doubled = list(scan_rows([rec], normalized_negativity=True))[1].split(",")[3]
+        block = core.evaluate(3.0, 1.0)
+        plain = list(scan_rows([block]))[1].split(",")[3]
+        doubled = list(scan_rows([block], normalized_negativity=True))[1].split(",")[3]
         assert float(doubled) == 2.0 * float(plain)
 
     def test_boundary_rows(self):
@@ -325,7 +323,7 @@ class TestCsvRows:
 
     def test_dominant_rows(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
-        lines = list(dominant_rows(dominant_map(g)))
+        lines = list(dominant_rows(evaluate_grid(g)))
         assert lines[0] == "u,v,dominant_label,dominant_weight"
         assert len(lines) == 5
         assert lines[1].split(",")[2] == "phi_plus"
