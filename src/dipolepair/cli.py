@@ -7,7 +7,6 @@ import sys
 from typing import Iterable
 
 from . import core
-from .dipolar import CouplingParams
 from .scan import (
     BoundaryQuantity,
     DEFAULT_ROOT_TOL,
@@ -163,7 +162,7 @@ def run_cli(argv: list[str] | None = None) -> int:
                                                   and not os.path.isfile(target)):
                 raise OSError("not a file name")
         if args.command == "point":
-            p = CouplingParams(args.u, args.v)
+            p = core.CouplingParams(args.u, args.v)
             lines = scan_rows([core.evaluate(p.u, p.v)], args.normalized_negativity)
         elif args.command == "scan":
             lines = scan_rows(evaluate_grid(_grid_from_args(args)),

@@ -1,12 +1,41 @@
-"""Array core: every reported quantity of the thermal state on arrays of (u, v).
+"""Thermal model of two spin-1/2 particles with a dipolar interaction, and
+the array core: every reported quantity of the thermal state on arrays of
+the couplings.
 
-The thermal state is Bell diagonal (see `dipolar`), so each quantity is a
-closed form of the four Boltzmann weights w_a:
+Everything is parameterized by the dimensionless couplings
+(u, v) = (Delta/kT, eps/kT).  In units of k_B T the interaction reads
 
-    c1, c2, c3  signed sums of the weights
+    H = (1/6) [[ u, 0, 0, 3v],
+               [ 0, -u, -u, 0],
+               [ 0, -u, -u, 0],
+               [3v, 0, 0,  u]]
+
+whose eigenstates are the four Bell states with energies
+
+    E(Phi+) = (u + 3v)/6,  E(Phi-) = (u - 3v)/6,  E(Psi+) = -u/3,  E(Psi-) = 0.
+
+The thermal state is therefore Bell diagonal, and each quantity is a closed
+form of its four Boltzmann weights w_a:
+
+    c1, c2, c3  diagonal spin-spin correlations, signed sums of the weights
     chsh        2 sqrt of the two largest c_i^2 (Horodecki, PLA 200, 340, 1995)
     negativity  max(0, w_max - 1/2)
     fidelity    (1 + 2 w_max) / 3
+
+CHSH values above 2 certify nonlocality, and 2 sqrt 2 is the quantum
+ceiling.  Negativity is the trace-norm measure (||rho^{T_A}||_1 - 1)/2, the
+absolute sum of the negative partial-transpose eigenvalues; those are
+{1/2 - w_a} for a Bell-diagonal state.  A maximally entangled state scores
+1/2 on this scale; presentation layers may double it so the ceiling reads 1.
+Teleportation through the thermal resource with measurement seed
+K0 = |k0><k0| maps an input qubit to
+
+    rho_out = sum_mu Tr(K_mu rho) sigma_mu rho_in sigma_mu,
+    K_mu = (sigma_mu x I) K0 (sigma_mu x I),
+
+a Pauli channel whose flip probabilities relabel the Bell weights.  Averaged
+over the Bloch sphere the fidelity is (1 + 2 w_k0)/3, so the best seed beats
+the classical record 2/3 exactly when w_max exceeds 1/2.
 
 Only the inputs are checked at runtime: finite and within the stability
 limit.  For such inputs the closed forms guarantee the rest (weights a
@@ -15,19 +44,35 @@ Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelity in [1/3, 1], Psi-minus
 never dominant); `tests/test_properties.py` proves those facts over the
 whole envelope.  Every operation repeats the scalar route's arithmetic in
 the same order, so each entry equals `reference.scalar_record` at the same
-couplings to the bit.
+couplings to the bit.  The dense matrices, the channel arithmetic and the
+sphere quadrature behind these closed forms live in `reference`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
-from .dipolar import COUPLING_LIMIT, BellLabel
-from .measures import CHSH_BOUNDARY_TOL, CHSH_CLASSICAL_BOUND
+COUPLING_LIMIT = 2000.0
 
+CHSH_CLASSICAL_BOUND = 2.0
+CHSH_QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
+
+# numeric slack for the strict classification "violating": a CHSH value
+# counts as nonlocal only above CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL
+CHSH_BOUNDARY_TOL = 1e-12
 SEPARABLE_NEGATIVITY_TOL = 1e-12
+
+
+class BellLabel(IntEnum):
+    """The four Bell states; integer order is the canonical tie-breaking order."""
+
+    PHI_PLUS = 0
+    PHI_MINUS = 1
+    PSI_PLUS = 2
+    PSI_MINUS = 3
 
 
 class Region(Enum):
@@ -38,6 +83,34 @@ class Region(Enum):
 
 REGIONS = tuple(Region)
 LABELS = tuple(BellLabel)
+
+
+def finite_float(name: str, x) -> float:
+    """`x` as a float; ValueError unless it is a finite number."""
+    try:
+        x = float(x)
+    except TypeError:  # None and other non-numbers
+        pass
+    if not (isinstance(x, float) and math.isfinite(x)):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+@dataclass(frozen=True)
+class CouplingParams:
+    """Dimensionless couplings u = Delta/(k_B T), v = eps/(k_B T)."""
+
+    u: float
+    v: float
+
+    def __post_init__(self):
+        for name in ("u", "v"):
+            x = finite_float(name, getattr(self, name))
+            if abs(x) > COUPLING_LIMIT:
+                raise ValueError(
+                    f"|{name}| = {abs(x)} exceeds the stability limit {COUPLING_LIMIT}"
+                )
+            object.__setattr__(self, name, x)
 
 
 @dataclass(frozen=True)
@@ -55,6 +128,15 @@ class PhaseArrays:
     region: np.ndarray
 
 
+def _points(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """u and v broadcast against each other, as flat float arrays with one
+    entry per point."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.shape != v.shape:
+        u, v = np.broadcast_arrays(u, v)
+    return u.ravel(), v.ravel()
+
+
 def _require(ok: np.ndarray, u: np.ndarray, v: np.ndarray, what: str) -> None:
     if not ok.all():
         k = int(np.argmin(ok))
@@ -62,13 +144,14 @@ def _require(ok: np.ndarray, u: np.ndarray, v: np.ndarray, what: str) -> None:
 
 
 def weights(u, v) -> np.ndarray:
-    """Boltzmann weights of the four Bell levels, shape (N, 4).
+    """Boltzmann weights of the four Bell levels at each point (u, v)
+    broadcast, shape (N, 4).
 
     Energies are shifted by their minimum before exponentiating, as in
-    `dipolar.spectrum`, and the partition sum adds the levels in label order.
+    `reference.spectrum`, and the partition sum adds the levels in label
+    order.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+    u, v = _points(u, v)
     for name, x in (("u", u), ("v", v)):
         _require(np.isfinite(x), u, v, f"{name} must be finite")
         _require(np.abs(x) <= COUPLING_LIMIT, u, v,
@@ -84,13 +167,13 @@ def weights(u, v) -> np.ndarray:
 
 
 def evaluate(u, v) -> PhaseArrays:
-    """All reported quantities of the thermal state at each (u[k], v[k]).
+    """All reported quantities of the thermal state at each point (u, v),
+    with u and v broadcast against each other.
 
     The dominant label is the highest weight; exact ties fall to the
     earlier label.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+    u, v = _points(u, v)
     w = weights(u, v)
     pp, pm, sp, sm = w.T
     c = np.empty((u.size, 3))

@@ -3,9 +3,10 @@ arithmetic and sphere quadrature, plus the scalar closed-form route that
 the array core must equal to the bit.
 
 Each function here builds a quantity from its definition, independently of
-the closed forms in `dipolar`, `measures` and `teleport`, so tests can hold
-the two routes against each other.  This module may import the production
-modules; none of them imports it.
+the closed forms of the Bell weights in `core`, so tests can hold the two
+routes against each other.  The scalar route evaluates those closed forms
+one float at a time through validating dataclasses.  This module may import
+the production modules; none of them imports it.
 
 Basis convention throughout: the computational basis is ordered
 |00>, |01>, |10>, |11> with qubit A the first tensor factor.
@@ -13,25 +14,33 @@ Basis convention throughout: the computational basis is ordered
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SEPARABLE_NEGATIVITY_TOL, Region
-from .dipolar import (
-    VALIDATION_TOL,
+from .core import (
+    CHSH_BOUNDARY_TOL,
+    CHSH_CLASSICAL_BOUND,
+    CHSH_QUANTUM_BOUND,
+    SEPARABLE_NEGATIVITY_TOL,
     BellLabel,
-    CorrelationTriple,
     CouplingParams,
-    SpectralData,
-    spectrum,
+    Region,
 )
-from .measures import ChshResult, _chsh_result, chsh_from_correlations, negativity_bell_diagonal
 from .scan import ScanRecord
-from .teleport import best_fidelity
 
 HERMITIAN_INPUT_TOL = 1e-10
+
+# slack every validator allows on derived weights, correlations and measures
+VALIDATION_TOL = 1e-12
+
+# stand-in energy for an exactly zero weight: exp(-800) underflows to 0.0,
+# so the pair (E, w) stays self-consistent while remaining finite
+_ZERO_WEIGHT_ENERGY = 800.0
+
+CLASSICAL_DIMENSION = 2
 
 # resolution used when breaking eigenvalue ties deterministically
 _TIE_DECIMALS = 9
@@ -343,7 +352,7 @@ def negativity(rho, tol: float = HERMITIAN_INPUT_TOL) -> NegativityResult:
 # -- teleportation by channel arithmetic ----------------------------------
 
 # Pauli corrections lifted to the pair; they act on the first factor
-_LIFTS = tuple(kron(pauli(mu), pauli(0)) for mu in range(4))
+_LIFTS = np.array([kron(pauli(mu), pauli(0)) for mu in range(4)])
 _BELL_PROJECTORS = {label: projector(bell_state(label)) for label in BellLabel}
 
 
@@ -395,13 +404,22 @@ def channel_output(spectral: SpectralData, k0: BellLabel, angles: BlochAngles) -
     evaluated literally; no relabeling shortcut is taken, so this route can
     back the closed-form fidelities independently.
     """
+    return _teleport(spectral, k0, angles.density())
+
+
+def _teleport(spectral: SpectralData, k0: BellLabel, rho_in: np.ndarray) -> np.ndarray:
+    """`channel_output` for an input density matrix, or a stack (..., 2, 2)
+    of them."""
     rho = channel_state(spectral)
     seed = _BELL_PROJECTORS[BellLabel(k0)]
-    rho_in = angles.density()
-    out = np.zeros((2, 2), dtype=complex)
-    for mu, lift in enumerate(_LIFTS):
-        q = float(np.trace(lift @ seed @ lift @ rho).real)
-        out += q * (pauli(mu) @ rho_in @ pauli(mu))
+    flips = np.trace(_LIFTS @ seed @ _LIFTS @ rho, axis1=1, axis2=2).real.tolist()
+    # every output is a density matrix exactly when the flips are a
+    # probability vector: it mixes the pure states sigma_mu rho_in sigma_mu
+    if min(flips) < -HERMITIAN_INPUT_TOL or abs(sum(flips) - 1.0) > HERMITIAN_INPUT_TOL:
+        raise ValueError(f"flip probabilities {flips!r} are not a probability vector")
+    out = np.zeros(np.shape(rho_in), dtype=complex)
+    for q, s in zip(flips, _PAULI):
+        out += q * (s @ rho_in @ s)
     return out
 
 
@@ -418,27 +436,257 @@ def average_fidelity_quadrature(spectral: SpectralData, k0: BellLabel, order: in
     Product rule: `order`-point Gauss-Legendre in cos(theta) times a
     2*order-point uniform rule in phi.  The integrand is degree 2 in the
     Bloch components, so any order >= 2 is already exact and must agree
-    with `teleport.average_fidelity` to rounding.
+    with `average_fidelity` to rounding.  All input states go through the
+    channel arithmetic of `channel_output` in one pass.
     """
     order = int(order)
     if order < 2:
         raise ValueError(f"quadrature order must be at least 2, got {order}")
+    psi, weights = _product_rule(order)
+    out = _teleport(spectral, k0, psi[:, :, None] * psi[:, None, :].conj())
+    return float(weights @ np.einsum("ki,kij,kj->k", psi.conj(), out, psi).real)
+
+
+@functools.lru_cache(maxsize=8)
+def _product_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input kets of the product rule, theta outer and phi inner, and their
+    weights normalized to sum to 1; read-only, as the cache shares them."""
     nodes, gauss_w = np.polynomial.legendre.leggauss(order)
     n_phi = 2 * order
-    total = 0.0
-    for x, wgt in zip(nodes, gauss_w):
-        theta = math.acos(float(x))
-        for j in range(n_phi):
-            angles = BlochAngles(theta, 2.0 * math.pi * j / n_phi)
-            total += wgt * fidelity_pointwise(
-                angles, channel_output(spectral, k0, angles)
-            )
+    psi = np.array([BlochAngles(math.acos(float(x)), 2.0 * math.pi * j / n_phi).state()
+                    for x in nodes for j in range(n_phi)])
     # Gauss weights integrate to 2 over cos(theta); phi nodes carry 2*pi/n_phi:
     # dividing by 4*pi leaves 1/(2 n_phi)
-    return total / (2.0 * n_phi)
+    weights = np.repeat(gauss_w, n_phi) / (2.0 * n_phi)
+    psi.flags.writeable = weights.flags.writeable = False
+    return psi, weights
 
 
 # -- the scalar closed-form route -------------------------------------------
+
+def bell_energies(params: CouplingParams) -> np.ndarray:
+    """Bell-level energies in units of k_B T, indexed by BellLabel."""
+    u, v = params.u, params.v
+    return np.array([(u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0, 0.0])
+
+
+@dataclass(frozen=True)
+class SpectralData:
+    """Bell-level energies, Boltzmann weights and log partition sum.
+
+    Arrays are indexed by BellLabel.  Weights are a probability vector and
+    never increase with energy; both facts are checked on construction.
+    """
+
+    energies: np.ndarray
+    weights: np.ndarray
+    log_partition: float
+
+    def __post_init__(self):
+        e = np.asarray(self.energies, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        if e.shape != (4,) or w.shape != (4,):
+            raise ValueError(f"expected 4 Bell levels, got shapes {e.shape}, {w.shape}")
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(w))):
+            raise ValueError("energies and weights must be finite")
+        if float(w.min()) < -VALIDATION_TOL or float(w.max()) > 1.0 + VALIDATION_TOL:
+            raise ValueError(f"weights must lie in [0, 1], got {w!r}")
+        if abs(float(w.sum()) - 1.0) > VALIDATION_TOL:
+            raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
+        order = np.argsort(e, kind="stable")
+        if float(np.max(np.diff(w[order]))) > VALIDATION_TOL:
+            raise ValueError("weights must not increase with energy")
+        object.__setattr__(self, "energies", e)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "log_partition", float(self.log_partition))
+
+    def weight(self, label: BellLabel) -> float:
+        return float(self.weights[BellLabel(label)])
+
+    def dominant(self) -> tuple[BellLabel, float]:
+        """Highest-weight level; exact ties fall to the canonical label order."""
+        best = BellLabel.PHI_PLUS
+        for label in BellLabel:
+            if self.weights[label] > self.weights[best]:
+                best = label
+        return best, float(self.weights[best])
+
+    @classmethod
+    def from_weights(cls, weights) -> "SpectralData":
+        """Spectral data for bare Boltzmann weights (implied partition sum 1)."""
+        w = np.asarray(weights, dtype=float)
+        e = np.array(
+            [-math.log(x) if x > 0.0 else _ZERO_WEIGHT_ENERGY for x in w.ravel()]
+        )
+        return cls(energies=e, weights=w, log_partition=0.0)
+
+
+def spectrum(params: CouplingParams) -> SpectralData:
+    """Boltzmann weights of the four Bell levels at couplings (u, v).
+
+    Exponentials are taken after subtracting the minimum energy:
+    weights stay finite and normalized all the way to |u| = |v| = 2000,
+    and log Z = log(sum_a exp(-(E_a - E_min))) - E_min recovers the
+    unshifted partition sum.
+    """
+    e = bell_energies(params)
+    shift = float(e.min())
+    scaled = np.exp(-(e - shift))
+    z = float(scaled.sum())
+    return SpectralData(energies=e, weights=scaled / z, log_partition=math.log(z) - shift)
+
+
+@dataclass(frozen=True)
+class CorrelationTriple:
+    """Diagonal spin-spin correlations (c1, c2, c3) of a Bell-diagonal state.
+
+    The admissible region is the tetrahedron whose vertices are the four
+    Bell states; membership is enforced by requiring the equivalent Bell
+    weights to form a probability vector.
+    """
+
+    c1: float
+    c2: float
+    c3: float
+
+    def __post_init__(self):
+        for name in ("c1", "c2", "c3"):
+            x = float(getattr(self, name))
+            if not math.isfinite(x) or abs(x) > 1.0 + VALIDATION_TOL:
+                raise ValueError(f"{name} must lie in [-1, 1], got {x!r}")
+            object.__setattr__(self, name, x)
+        w = self.bell_weights()
+        if float(w.min()) < -VALIDATION_TOL:
+            raise ValueError(f"({self.c1}, {self.c2}, {self.c3}) lies outside the Bell tetrahedron")
+
+    def bell_weights(self) -> np.ndarray:
+        """Equivalent Bell weights, indexed by BellLabel."""
+        c1, c2, c3 = self.c1, self.c2, self.c3
+        return (
+            np.array(
+                [
+                    1.0 + c1 - c2 + c3,
+                    1.0 - c1 + c2 + c3,
+                    1.0 + c1 + c2 - c3,
+                    1.0 - c1 - c2 - c3,
+                ]
+            )
+            / 4.0
+        )
+
+    def matrix(self) -> np.ndarray:
+        return np.diag([self.c1, self.c2, self.c3])
+
+    @classmethod
+    def from_weights(cls, weights) -> "CorrelationTriple":
+        w = np.asarray(weights, dtype=float)
+        wpp = w[BellLabel.PHI_PLUS]
+        wpm = w[BellLabel.PHI_MINUS]
+        wsp = w[BellLabel.PSI_PLUS]
+        wsm = w[BellLabel.PSI_MINUS]
+        return cls(
+            c1=wpp - wpm + wsp - wsm,
+            c2=-wpp + wpm + wsp - wsm,
+            c3=wpp + wpm - wsp - wsm,
+        )
+
+
+def correlations(params: CouplingParams) -> CorrelationTriple:
+    """Diagonal correlations of the thermal state; c1 <-> c2 under v -> -v."""
+    return CorrelationTriple.from_weights(spectrum(params).weights)
+
+
+@dataclass(frozen=True)
+class ChshResult:
+    """Maximal CHSH expectation and whether it breaches the classical bound."""
+
+    value: float
+    violating: bool
+
+    def __post_init__(self):
+        x = float(self.value)
+        if not (-VALIDATION_TOL <= x <= CHSH_QUANTUM_BOUND + VALIDATION_TOL):
+            raise ValueError(f"CHSH value {x!r} outside [0, 2*sqrt(2)]")
+        object.__setattr__(self, "value", x)
+
+
+def _chsh_result(value: float) -> ChshResult:
+    value = max(0.0, float(value))
+    return ChshResult(value=value, violating=value > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL)
+
+
+def chsh_from_correlations(corr: CorrelationTriple) -> ChshResult:
+    """Closed form for a diagonal correlation matrix: drop the smallest c_i^2."""
+    a, b, c = corr.c1 ** 2, corr.c2 ** 2, corr.c3 ** 2
+    return _chsh_result(2.0 * math.sqrt(max(a + b, a + c, b + c)))
+
+
+def chsh_max(params: CouplingParams) -> ChshResult:
+    """Maximal CHSH value of the thermal state at couplings (u, v)."""
+    return chsh_from_correlations(correlations(params))
+
+
+def negativity_bell_diagonal(spectral: SpectralData) -> float:
+    """Closed form for a Bell-diagonal state: max(0, max_a p_a - 1/2)."""
+    return max(0.0, float(np.max(spectral.weights)) - 0.5)
+
+
+def average_fidelity(spectral: SpectralData, k0: BellLabel) -> float:
+    """Bloch-sphere average of the teleportation fidelity: (1 + 2 p_k0)/3."""
+    return (1.0 + 2.0 * spectral.weight(k0)) / 3.0
+
+
+@dataclass(frozen=True)
+class FidelityReport:
+    """Average fidelity per measurement seed plus the best achievable choice."""
+
+    fidelities: np.ndarray
+    best: float
+    best_label: BellLabel
+    above_classical: bool
+
+    def __post_init__(self):
+        f = np.asarray(self.fidelities, dtype=float)
+        if f.shape != (4,):
+            raise ValueError(f"expected one fidelity per Bell seed, got shape {f.shape}")
+        if (float(f.min()) < 1.0 / 3.0 - VALIDATION_TOL
+                or float(f.max()) > 1.0 + VALIDATION_TOL):
+            raise ValueError(f"fidelities {f!r} outside [1/3, 1]")
+        if abs(float(self.best) - float(f.max())) > VALIDATION_TOL:
+            raise ValueError("best fidelity must be the maximum over seeds")
+        object.__setattr__(self, "fidelities", f)
+        object.__setattr__(self, "best", float(self.best))
+
+
+def minimum_fidelity(dim: int = CLASSICAL_DIMENSION) -> float:
+    """Best classical (measure-and-resend) average fidelity 2/(1 + d)."""
+    if int(dim) != dim or int(dim) < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {dim!r}")
+    return 2.0 / (1.0 + int(dim))
+
+
+def best_fidelity(spectral: SpectralData) -> FidelityReport:
+    """Best average fidelity over the four measurement seeds.
+
+    The maximum over all four equals the usual maximum over the first
+    three, because the Psi-minus weight can never strictly dominate a
+    thermal spectrum here; scanning all four keeps the report honest for
+    arbitrary Bell-diagonal inputs.  Exact ties fall to the canonical
+    label order.
+    """
+    fids = np.array([average_fidelity(spectral, label) for label in BellLabel])
+    best_label = BellLabel.PHI_PLUS
+    for label in BellLabel:
+        if fids[label] > fids[best_label]:
+            best_label = label
+    best = float(fids[best_label])
+    return FidelityReport(
+        fidelities=fids,
+        best=best,
+        best_label=best_label,
+        above_classical=best > minimum_fidelity(CLASSICAL_DIMENSION),
+    )
+
 
 def scalar_record(params: CouplingParams) -> ScanRecord:
     """All reported quantities at one coupling point, one float at a time

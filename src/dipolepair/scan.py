@@ -22,8 +22,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import core
-from .core import Region
-from .dipolar import COUPLING_LIMIT, BellLabel, CouplingParams
+from .core import COUPLING_LIMIT, BellLabel, CouplingParams, Region
 
 GRID_POINT_LIMIT = 10 ** 8
 DEFAULT_ROOT_TOL = 1e-9
@@ -64,10 +63,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("u_min", "u_max", "v_min", "v_max"):
-            x = float(getattr(self, name))
-            if not np.isfinite(x):
-                raise ValueError(f"{name} must be finite, got {x!r}")
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, core.finite_float(name, getattr(self, name)))
         for name in ("nu", "nv"):
             n = getattr(self, name)
             try:

@@ -10,16 +10,23 @@ import time
 
 import numpy as np
 
-from dipolepair.dipolar import BellLabel, CouplingParams, SpectralData, correlations, spectrum
-from dipolepair.measures import CHSH_QUANTUM_BOUND, chsh_max, negativity_bell_diagonal
+from dipolepair.core import CHSH_QUANTUM_BOUND, BellLabel, CouplingParams
 from dipolepair.reference import (
+    SpectralData,
+    average_fidelity,
     average_fidelity_quadrature,
     bell_state,
+    best_fidelity,
+    chsh_max,
+    correlations,
     gibbs,
     hamiltonian_from_tensor,
     hamiltonian_matrix,
+    minimum_fidelity,
     negativity,
+    negativity_bell_diagonal,
     projector,
+    spectrum,
     thermal_state,
 )
 from dipolepair.scan import (
@@ -29,7 +36,6 @@ from dipolepair.scan import (
     scan_grid,
     trace_boundary,
 )
-from dipolepair.teleport import average_fidelity, best_fidelity, minimum_fidelity
 from dipolepair.cli import run_cli
 
 GRID41 = GridSpec(-10.0, 10.0, -10.0, 10.0, 41, 41)

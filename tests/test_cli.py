@@ -9,7 +9,8 @@ import pytest
 
 from dipolepair import core
 from dipolepair.cli import run_cli
-from dipolepair.dipolar import CouplingParams, spectrum
+from dipolepair.core import CouplingParams
+from dipolepair.reference import spectrum
 
 
 def run(capsys, *argv):

@@ -3,26 +3,32 @@ import numpy as np
 import pytest
 
 from dipolepair import core
-from dipolepair.dipolar import CouplingParams
+from dipolepair.core import CouplingParams
 from dipolepair.reference import scalar_record
 from dipolepair.scan import evaluate_point
 
 
 def test_matches_evaluate_point_at_scattered_points():
-    # a block of 3200 points, evaluate_point (the core at N = 1) and the
-    # scalar route through the validating dataclasses all agree
+    # a block of 3200 points, and a column of u or v against a scalar: the
+    # core has one entry per point in every column, and it, evaluate_point
+    # (the core at N = 1) and the scalar route through the validating
+    # dataclasses all agree
     rng = np.random.default_rng(5)
     u = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
     v = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
-    b = core.evaluate(u, v)
-    for k in range(len(u)):
-        p = CouplingParams(u[k], v[k])
-        rec = scalar_record(p)
-        assert (b.chsh[k], b.negativity[k], b.fidelity[k], b.dominant_weight[k]) == (
-            rec.chsh, rec.negativity, rec.fidelity, rec.dominant_weight)
-        assert core.LABELS[b.dominant[k]] is rec.dominant_label
-        assert core.REGIONS[b.region[k]] is rec.region
-        assert evaluate_point(p) == rec
+    for args in ((u, v), ([1.0, 2.0, 3.0], 1.0), (1.0, [1.0, 2.0, 3.0])):
+        b = core.evaluate(*args)
+        us, vs = (x.tolist() for x in np.broadcast_arrays(*args))
+        assert {len(column) for column in vars(b).values()} == {len(us)}
+        for k, (uk, vk) in enumerate(zip(us, vs)):
+            p = CouplingParams(uk, vk)
+            rec = scalar_record(p)
+            assert (b.u[k], b.v[k]) == (rec.u, rec.v)
+            assert (b.chsh[k], b.negativity[k], b.fidelity[k], b.dominant_weight[k]) == (
+                rec.chsh, rec.negativity, rec.fidelity, rec.dominant_weight)
+            assert core.LABELS[b.dominant[k]] is rec.dominant_label
+            assert core.REGIONS[b.region[k]] is rec.region
+            assert evaluate_point(p) == rec
 
 
 @pytest.mark.parametrize("u, v", [

@@ -1,8 +1,10 @@
-"""Tests for the thermal dipolar-pair model.
+"""Tests for the thermal dipolar-pair model: the couplings of `core`, and
+the spectrum and correlations of the scalar route in `reference` against
+its dense Hamiltonian and thermal-state matrices.
 
 Expected numbers at (u, v) = (3, 1) and (-6, 0) were frozen from an
 independent matrix-exponential computation (scipy expm of the 4x4
-Hamiltonian, then projection onto the Bell basis) before this module was
+Hamiltonian, then projection onto the Bell basis) before the model was
 written.
 """
 import math
@@ -10,23 +12,19 @@ import math
 import numpy as np
 import pytest
 
-from dipolepair.dipolar import (
-    COUPLING_LIMIT,
-    BellLabel,
+from dipolepair.core import COUPLING_LIMIT, BellLabel, CouplingParams
+from dipolepair.reference import (
     CorrelationTriple,
-    CouplingParams,
     SpectralData,
     bell_energies,
-    correlations,
-    spectrum,
-)
-from dipolepair.reference import (
     bell_state,
+    correlations,
     fano_marginals,
     gibbs,
     hamiltonian_from_tensor,
     hamiltonian_matrix,
     projector,
+    spectrum,
     thermal_state,
 )
 
@@ -51,9 +49,10 @@ class TestCouplingParams:
         p = CouplingParams(3, 1)
         assert p.u == 3.0 and isinstance(p.u, float)
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            CouplingParams(float("nan"), 0.0)
+    @pytest.mark.parametrize("u", [math.nan, None])
+    def test_rejects_nan(self, u):
+        with pytest.raises(ValueError, match="u must be finite"):
+            CouplingParams(u, 0.0)
 
     def test_rejects_infinite(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
-"""Layout of the package: the production import path stays free of the
-definition-level oracles, the array core and the scans import nothing of
-the scalar route, no module carries an unused import, and the public
-namespace resolves.
+"""Layout of the package: the production import path loads `core`, `scan`
+and the CLI and nothing else, so it stays free of the definition-level
+oracles; no production module imports anything of the scalar route; no
+module carries an unused import; and the public namespace resolves.
 
 Standard library only, so the checks run wherever the test suite does.
 """
@@ -16,7 +16,12 @@ import pytest
 import dipolepair
 
 PACKAGE = Path(dipolepair.__file__).resolve().parent
-ORACLE_MODULES = {"dipolepair.reference", "dipolepair.linalg"}
+# production is core, scan and the CLI; `reference` holds the oracles
+LOADED = {
+    "import dipolepair": {"dipolepair", "dipolepair.core", "dipolepair.scan"},
+    "import dipolepair.cli": {"dipolepair", "dipolepair.cli", "dipolepair.core",
+                              "dipolepair.scan"},
+}
 
 
 def loaded_after(statement: str) -> set[str]:
@@ -32,9 +37,7 @@ def loaded_after(statement: str) -> set[str]:
 
 @pytest.mark.parametrize("statement", ["import dipolepair.cli", "import dipolepair"])
 def test_production_imports_leave_the_oracles_unloaded(statement):
-    loaded = loaded_after(statement)
-    assert "dipolepair.scan" in loaded
-    assert not loaded & ORACLE_MODULES
+    assert loaded_after(statement) == LOADED[statement]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -73,12 +76,14 @@ def imported_names(source: str) -> set[str]:
 
 
 # the scalar route through the validating dataclasses; the array core is the
-# one production path, and `reference.scalar_record` keeps the scalar one
-SCALAR_ROUTE = {"spectrum", "SpectralData", "CorrelationTriple", "chsh_from_correlations",
-                "negativity_bell_diagonal", "best_fidelity"}
+# one production path, and `reference` keeps the scalar one
+SCALAR_ROUTE = {"VALIDATION_TOL", "bell_energies", "spectrum", "SpectralData", "correlations",
+                "CorrelationTriple", "ChshResult", "chsh_from_correlations", "chsh_max",
+                "negativity_bell_diagonal", "average_fidelity", "FidelityReport",
+                "minimum_fidelity", "best_fidelity"}
 
 
-@pytest.mark.parametrize("module", ["core.py", "scan.py"])
+@pytest.mark.parametrize("module", ["core.py", "scan.py", "cli.py", "__init__.py"])
 def test_array_path_stays_off_the_scalar_route(module):
     assert imported_names((PACKAGE / module).read_text()) & SCALAR_ROUTE == set()
 

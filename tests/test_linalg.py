@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dipolepair.dipolar import BellLabel
+from dipolepair.core import BellLabel
 from dipolepair.reference import (
     EigenSystem,
     bell_state,

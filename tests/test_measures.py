@@ -1,33 +1,28 @@
-"""Tests for the CHSH and negativity measures.
+"""Tests for the CHSH and negativity measures: the closed forms of the
+scalar route in `reference` against its general routes by definition.
 
 Frozen numbers come from an independent matrix-exponential plus
-eigendecomposition oracle run before this module was written.
+eigendecomposition oracle run before the measures were written.
 """
 import math
 
 import numpy as np
 import pytest
 
-from dipolepair.dipolar import (
-    BellLabel,
-    CorrelationTriple,
-    CouplingParams,
-    SpectralData,
-    correlations,
-    spectrum,
-)
-from dipolepair.measures import (
-    CHSH_QUANTUM_BOUND,
+from dipolepair.core import CHSH_QUANTUM_BOUND, BellLabel, CouplingParams
+from dipolepair.reference import (
     ChshResult,
+    CorrelationTriple,
+    SpectralData,
+    bell_state,
     chsh_from_correlations,
     chsh_max,
-    negativity_bell_diagonal,
-)
-from dipolepair.reference import (
-    bell_state,
     chsh_max_general,
+    correlations,
     negativity,
+    negativity_bell_diagonal,
     projector,
+    spectrum,
     thermal_state,
 )
 

@@ -15,9 +15,14 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from dipolepair import core
-from dipolepair.dipolar import COUPLING_LIMIT, BellLabel, CouplingParams, spectrum
-from dipolepair.measures import CHSH_BOUNDARY_TOL, CHSH_CLASSICAL_BOUND, chsh_max
-from dipolepair.reference import scalar_record
+from dipolepair.core import (
+    CHSH_BOUNDARY_TOL,
+    CHSH_CLASSICAL_BOUND,
+    COUPLING_LIMIT,
+    BellLabel,
+    CouplingParams,
+)
+from dipolepair.reference import chsh_max, scalar_record, spectrum
 from dipolepair.scan import (
     DEFAULT_ROOT_TOL,
     BoundaryQuantity,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dipolepair import core
-from dipolepair.dipolar import BellLabel, CouplingParams, spectrum
-from dipolepair.reference import scalar_record
+from dipolepair.core import BellLabel, CouplingParams
+from dipolepair.reference import scalar_record, spectrum
 from dipolepair.scan import (
     GRID_POINT_LIMIT,
     BoundaryQuantity,
@@ -48,6 +48,14 @@ class TestGridSpec:
     def test_rejects_single_point_axis(self, nu):
         with pytest.raises(ValueError, match="nu must be an integer >= 2"):
             GridSpec(0.0, 1.0, 0.0, 1.0, nu, 2)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, None])
+    def test_rejects_non_finite_bounds(self, x):
+        for k, name in enumerate(("u_min", "u_max", "v_min", "v_max")):
+            bounds = [0.0, 1.0, 0.0, 1.0]
+            bounds[k] = x
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GridSpec(*bounds, 2, 2)
 
     def test_rejects_bounds_beyond_stability_limit(self):
         with pytest.raises(ValueError, match="stability limit"):

@@ -1,31 +1,33 @@
-"""Tests for the teleportation channel and its fidelities.
+"""Tests for the teleportation channel and its fidelities: the closed-form
+fidelities of the scalar route in `reference` against its channel
+arithmetic and sphere quadrature.
 
 Frozen numbers were produced by a direct matrix-arithmetic oracle
 (explicit Kraus conjugations and a 400 x 400 dense sphere quadrature)
-before this module was written.
+before the fidelities were written.
 """
 import math
 
 import numpy as np
 import pytest
 
-from dipolepair.dipolar import BellLabel, CouplingParams, SpectralData, spectrum
+from dipolepair.core import BellLabel, CouplingParams
 from dipolepair.reference import (
     BlochAngles,
+    FidelityReport,
+    SpectralData,
+    average_fidelity,
     average_fidelity_quadrature,
     bell_state,
+    best_fidelity,
     channel_output,
     channel_state,
     fidelity_pointwise,
+    minimum_fidelity,
     pauli,
     pauli_conjugation,
     projector,
-)
-from dipolepair.teleport import (
-    FidelityReport,
-    average_fidelity,
-    best_fidelity,
-    minimum_fidelity,
+    spectrum,
 )
 
 F31 = 0.689631096925682
