@@ -125,14 +125,14 @@ def _emit(lines: Iterable[str], out_path: str | None) -> None:
         raise
 
 
-def _fuse_axis_values(argv: list[str]) -> list[str]:
-    """Join --u/--v with their value so tokens like -10:10:81 are not
-    mistaken for option flags."""
+def _fuse_option_values(argv: list[str]) -> list[str]:
+    """Join --u, --v and --tol with their value so tokens like -10:10:81,
+    -1e-9 or -inf are not mistaken for option flags."""
     fused = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--u", "--v") and i + 1 < len(argv):
+        if tok in ("--u", "--v", "--tol") and i + 1 < len(argv):
             fused.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -146,7 +146,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fuse_axis_values(list(argv)))
+        args = parser.parse_args(_fuse_option_values(list(argv)))
     except SystemExit as exc:  # argparse handles usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

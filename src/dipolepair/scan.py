@@ -315,6 +315,16 @@ _LABEL_NAMES = [label.name.lower() for label in core.LABELS]
 _SUFFIXES = [f"{name},{region.value}" for name in _LABEL_NAMES for region in core.REGIONS]
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """repr of each entry of a float column, called once per distinct double
+    and shared by the entries that hold it; meant for the u and v columns,
+    which repeat each axis coordinate.  Doubles are told apart by their
+    bits, so 0.0 and -0.0 keep their own text."""
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def scan_rows(blocks: Iterable[core.PhaseArrays],
               normalized_negativity: bool = False) -> Iterator[str]:
     """CSV lines for evaluated core blocks, one row per point in block
@@ -325,8 +335,9 @@ def scan_rows(blocks: Iterable[core.PhaseArrays],
         neg = 2.0 * b.negativity if normalized_negativity else b.negativity
         suffixes = map(_SUFFIXES.__getitem__,
                        (b.dominant * len(core.REGIONS) + b.region).tolist())
-        columns = (b.u, b.v, b.chsh, neg, b.fidelity, b.dominant_weight)
-        for row in zip(*(map(repr, c.tolist()) for c in columns), suffixes):
+        columns = (b.chsh, neg, b.fidelity, b.dominant_weight)
+        for row in zip(_reprs(b.u), _reprs(b.v), *(map(repr, c.tolist()) for c in columns),
+                       suffixes):
             yield ",".join(row)
 
 
@@ -343,6 +354,6 @@ def dominant_rows(blocks: Iterable[core.PhaseArrays]) -> Iterator[str]:
     one row per point in block order."""
     yield DOMINANT_HEADER
     for b in blocks:
-        for u, v, d, w in zip(map(repr, b.u.tolist()), map(repr, b.v.tolist()),
-                              b.dominant.tolist(), map(repr, b.dominant_weight.tolist())):
+        for u, v, d, w in zip(_reprs(b.u), _reprs(b.v), b.dominant.tolist(),
+                              map(repr, b.dominant_weight.tolist())):
             yield f"{u},{v},{_LABEL_NAMES[d]},{w}"

@@ -162,6 +162,19 @@ class TestBoundaryCommand:
         assert "residual" in err and "1e-300" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("tol", ["-1e-9", "-inf", "0", "nan"])
+    def test_non_positive_tolerance_is_usage_error(self, tol, capsys):
+        # a value that starts with "-" but is not a plain negative number
+        # must still reach the tolerance check, not argparse's flag parsing
+        code, stdout, err = run(
+            capsys, "boundary", "--quantity", "chsh",
+            "--u", "-1:1:5", "--v", "-1:1:5", "--tol", tol,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "tolerance must be positive" in err
+
     def test_empty_contour_writes_header_only(self, capsys):
         code, out, _ = run(
             capsys, "boundary", "--quantity", "chsh",

@@ -4,7 +4,8 @@ tracer must keep: bit equality of the core, over a batch and at N = 1
 validating dataclasses check the derived invariants on the core's exact
 values (weights a probability vector that never rises with energy,
 correlations in the Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelities in
-[1/3, 1]); Psi-minus never dominant; lockstep bisection equal to
+[1/3, 1]); `scan` and `dominant` rows equal to the repr of the scalar
+route's values; Psi-minus never dominant; lockstep bisection equal to
 bracket-by-bracket bisection; the v -> -v parity of the phase plane; the
 region partition; and contour roots that sit on grid edges, one per crossed
 edge and each closed loop once, with residuals below the tolerance.
@@ -30,8 +31,10 @@ from dipolepair.scan import (
     Region,
     bisect_root,
     boundary_field,
+    dominant_rows,
     evaluate_point,
     scan_grid,
+    scan_rows,
     trace_boundary,
 )
 
@@ -81,6 +84,32 @@ def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
         np.testing.assert_array_equal(bits(field(u, v)), bits(want))
         scalar = field(*pts[0])
         assert type(scalar) is float and bits(scalar) == bits(want[0])
+
+
+# repeated points, and 0.0 beside -0.0 in one column: a formatter that
+# shares strings between equal values rather than equal bits writes one
+# zero's sign on the other's row
+SIGNED_ZEROS = [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (0.0, 1.0)]
+
+
+@SETTINGS
+@given(points)
+@example(SIGNED_ZEROS)
+@example(AXES + AXES)
+def test_scan_and_dominant_rows_are_the_repr_of_the_scalar_route(pts):
+    u, v = np.array(pts).T
+    records = [scalar_record(CouplingParams(a, b)) for a, b in pts]
+    for normalized in (False, True):
+        rows = list(scan_rows([core.evaluate(u, v)], normalized))
+        assert rows[1:] == [
+            ",".join([repr(r.u), repr(r.v), repr(r.chsh),
+                      repr(2.0 * r.negativity if normalized else r.negativity),
+                      repr(r.fidelity), repr(r.dominant_weight),
+                      r.dominant_label.name.lower(), r.region.value])
+            for r in records]
+    rows = list(dominant_rows([core.evaluate(u, v)]))
+    assert rows[1:] == [f"{r.u!r},{r.v!r},{r.dominant_label.name.lower()},{r.dominant_weight!r}"
+                        for r in records]
 
 
 # brackets [r - t w, r + (1 - t) w] around the root r of
