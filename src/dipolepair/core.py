@@ -44,8 +44,11 @@ Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelity in [1/3, 1], Psi-minus
 never dominant); `tests/test_properties.py` proves those facts over the
 whole envelope.  Every operation repeats the scalar route's arithmetic in
 the same order, so each entry equals `reference.scalar_record` at the same
-couplings to the bit.  The dense matrices, the channel arithmetic and the
-sphere quadrature behind these closed forms live in `reference`.
+couplings to the bit.  `evaluate` serves arrays of points; its scalar twin
+`evaluate_one` repeats the same checks and arithmetic on Python floats for
+one point, where some fifty numpy calls on 1-element arrays would cost
+several times the arithmetic.  The dense matrices, the channel arithmetic
+and the sphere quadrature behind these closed forms live in `reference`.
 """
 from __future__ import annotations
 
@@ -85,12 +88,18 @@ REGIONS = tuple(Region)
 LABELS = tuple(BellLabel)
 
 
+def _too_large(name: str) -> ValueError:
+    return ValueError(f"{name} must be finite, got an integer too large for a float")
+
+
 def finite_float(name: str, x) -> float:
     """`x` as a float; ValueError unless it is a finite number."""
     try:
         x = float(x)
     except TypeError:  # None and other non-numbers
         pass
+    except OverflowError:  # an integer beyond the float range
+        raise _too_large(name) from None
     if not (isinstance(x, float) and math.isfinite(x)):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
@@ -131,7 +140,14 @@ class PhaseArrays:
 def _points(u, v) -> tuple[np.ndarray, np.ndarray]:
     """u and v broadcast against each other, as flat float arrays with one
     entry per point."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    try:
+        u = np.asarray(u, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise _too_large("u") from None
+    try:
+        v = np.asarray(v, dtype=float)
+    except OverflowError:
+        raise _too_large("v") from None
     if u.shape != v.shape:
         u, v = np.broadcast_arrays(u, v)
     return u.ravel(), v.ravel()
@@ -193,3 +209,39 @@ def evaluate(u, v) -> PhaseArrays:
     return PhaseArrays(u=u, v=v, chsh=chsh, negativity=negativity,
                        fidelity=(1.0 + 2.0 * w_max) / 3.0, dominant=best,
                        dominant_weight=w_max, region=region)
+
+
+def evaluate_one(u, v) -> tuple:
+    """`evaluate` at the single point (u, v), as Python scalars: the fields
+    of `PhaseArrays` in order, with `dominant` and `region` as indices.
+
+    It keeps `weights`' input checks and their messages, and repeats the
+    array core's arithmetic in the same order, so each value equals the
+    core's to the bit.  The four exponentials go through one `np.exp` on a
+    4-vector, as in `reference.spectrum`: `math.exp` can differ from it in
+    the last bit.  Squares use Python's float `**` (libm pow, as
+    `np.float_power` does) and ties fall to the earlier label, as in
+    `np.argmax`.
+    """
+    try:
+        u, v = float(u), float(v)
+    except (TypeError, OverflowError):  # None, a 1-element array, a huge int
+        u, v = (x.item() for x in _points(u, v))
+    if not (abs(u) <= COUPLING_LIMIT and abs(v) <= COUPLING_LIMIT):
+        weights(u, v)  # not finite or beyond the limit: raises the core's error
+    e0, e1, e2 = (u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0
+    m = min(e0, e1, e2, 0.0)
+    s0, s1, s2, s3 = np.exp([-(e0 - m), -(e1 - m), -(e2 - m), -(0.0 - m)]).tolist()
+    z = ((s0 + s1) + s2) + s3
+    w = [s0 / z, s1 / z, s2 / z, s3 / z]
+    pp, pm, sp, sm = w
+    a = (pp - pm + sp - sm) ** 2.0
+    b = (-pp + pm + sp - sm) ** 2.0
+    s = (pp + pm - sp - sm) ** 2.0
+    chsh = 2.0 * math.sqrt(max(a + b, a + s, b + s))
+    best = max(range(4), key=w.__getitem__)
+    w_max = w[best]
+    negativity = max(0.0, w_max - 0.5)
+    region = (0 if negativity < SEPARABLE_NEGATIVITY_TOL
+              else 2 if chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL else 1)
+    return u, v, chsh, negativity, (1.0 + 2.0 * w_max) / 3.0, best, w_max, region

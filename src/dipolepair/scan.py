@@ -8,10 +8,12 @@ Each grid point is classified into one of three regions:
 
 Three signed boundary fields share the same zero sets as the physically
 interesting transitions: chsh - 2, max_a p_a - 1/2 (signed version of the
-negativity onset) and fidelity - 2/3.  Single points, scans, maps and
-contours all read the array core.  Contours are traced by bisecting the sign changes along
-grid edges in lockstep and joining the roots cell by cell (marching
-squares, saddle cells split by the sign at the centre).
+negativity onset) and fidelity - 2/3.  Scans, maps and contours read the
+array core; `evaluate_point` reads its scalar twin, which gives the same
+bits without numpy's per-call cost on one point.  Contours are traced by
+bisecting the sign changes along grid edges in lockstep and joining the
+roots cell by cell (marching squares, saddle cells split by the sign at
+the centre).
 """
 from __future__ import annotations
 
@@ -127,28 +129,27 @@ def evaluate_grid(grid: GridSpec) -> Iterator[core.PhaseArrays]:
         yield core.evaluate(us[k % grid.nu], vs[k // grid.nu])
 
 
-def _records(blocks: Iterable[core.PhaseArrays]) -> Iterator[ScanRecord]:
-    """One record per point of evaluated blocks, in block order, for the
-    library functions that return records."""
-    for b in blocks:
-        labels = [core.LABELS[i] for i in b.dominant.tolist()]
-        regions = [core.REGIONS[i] for i in b.region.tolist()]
-        for row in zip(b.u.tolist(), b.v.tolist(), b.chsh.tolist(),
-                       b.negativity.tolist(), b.fidelity.tolist(),
-                       b.dominant_weight.tolist(), labels, regions):
-            yield ScanRecord(*row)
-
-
 def evaluate_point(params: CouplingParams) -> ScanRecord:
-    """All reported quantities of the thermal state at one coupling point:
-    the array core at N = 1."""
-    return next(_records([core.evaluate(params.u, params.v)]))
+    """All reported quantities of the thermal state at one coupling point,
+    from the core's scalar twin `core.evaluate_one`; equal to the bit to
+    `core.evaluate` at that point."""
+    u, v, chsh, negativity, fidelity, dominant, weight, region = core.evaluate_one(
+        params.u, params.v)
+    return ScanRecord(u, v, chsh, negativity, fidelity, weight,
+                      core.LABELS[dominant], core.REGIONS[region])
 
 
 def scan_grid(grid: GridSpec) -> list[ScanRecord]:
     """Every grid point, row-major (v outer, u inner); each record equals
     `evaluate_point` at its coupling point."""
-    return list(_records(evaluate_grid(grid)))
+    records = []
+    for b in evaluate_grid(grid):
+        records += map(ScanRecord, b.u.tolist(), b.v.tolist(), b.chsh.tolist(),
+                       b.negativity.tolist(), b.fidelity.tolist(),
+                       b.dominant_weight.tolist(),
+                       map(core.LABELS.__getitem__, b.dominant.tolist()),
+                       map(core.REGIONS.__getitem__, b.region.tolist()))
+    return records
 
 
 def dominant_map(grid: GridSpec) -> list[tuple[float, float, BellLabel, float]]:
@@ -174,8 +175,8 @@ def boundary_field(quantity: BoundaryQuantity) -> Callable:
     quantity = BoundaryQuantity(quantity)
 
     def field(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        values = _field_values(quantity, core.evaluate(u, v)).reshape(u.shape)
+        values = _field_values(quantity, core.evaluate(u, v))
+        values = values.reshape(np.broadcast_shapes(np.shape(u), np.shape(v)))
         return float(values) if values.ndim == 0 else values
 
     return field

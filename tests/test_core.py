@@ -1,17 +1,20 @@
-"""Tests for the array core beyond what scans over grids cover."""
+"""Tests for the array core and its scalar twin beyond what scans over
+grids cover."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from dipolepair import core
 from dipolepair.core import CouplingParams
 from dipolepair.reference import scalar_record
-from dipolepair.scan import evaluate_point
+from dipolepair.scan import BoundaryQuantity, GridSpec, boundary_field, evaluate_point
 
 
 def test_matches_evaluate_point_at_scattered_points():
     # a block of 3200 points, and a column of u or v against a scalar: the
-    # core has one entry per point in every column, and it, evaluate_point
-    # (the core at N = 1) and the scalar route through the validating
+    # core has one entry per point in every column, and it, its scalar twin
+    # behind evaluate_point and the scalar route through the validating
     # dataclasses all agree
     rng = np.random.default_rng(5)
     u = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
@@ -29,6 +32,10 @@ def test_matches_evaluate_point_at_scattered_points():
             assert core.LABELS[b.dominant[k]] is rec.dominant_label
             assert core.REGIONS[b.region[k]] is rec.region
             assert evaluate_point(p) == rec
+            one = core.evaluate_one(uk, vk)
+            assert np.array_equal(np.array(one, dtype=float).view(np.int64),
+                                  np.array([getattr(b, f)[k] for f in vars(b)],
+                                           dtype=float).view(np.int64))
 
 
 @pytest.mark.parametrize("u, v", [
@@ -40,6 +47,48 @@ def test_matches_evaluate_point_at_scattered_points():
 def test_rejects_couplings_outside_the_envelope(u, v):
     with pytest.raises(ValueError):
         core.evaluate(u, v)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CouplingParams(10 ** 400, 0.0),
+    lambda: GridSpec(0.0, 10 ** 400, 0.0, 1.0, 2, 2),
+    lambda: core.evaluate([10 ** 400], [0.0]),
+    lambda: core.evaluate(0.0, [0.0, -10 ** 400]),
+    lambda: core.evaluate_one(10 ** 400, 0.0),
+    lambda: boundary_field(BoundaryQuantity.CHSH_MINUS_2)(10 ** 400, 0.0),
+], ids=["params", "grid", "evaluate", "evaluate-v", "evaluate_one", "boundary_field"])
+def test_an_integer_beyond_the_float_range_is_a_value_error(call):
+    # float(10 ** 400) raises OverflowError, which is not a ValueError
+    with pytest.raises(ValueError, match=r"^(u|v|u_max) must be finite, got an integer too large"):
+        call()
+
+
+def test_evaluate_point_does_not_call_the_array_core(monkeypatch):
+    p = CouplingParams(3.0, -1.0)
+    want = evaluate_point(p)
+
+    def fail(u, v):
+        raise AssertionError("evaluate_point called core.evaluate")
+
+    monkeypatch.setattr(core, "evaluate", fail)
+    assert evaluate_point(p) == want == scalar_record(p)
+
+
+@pytest.mark.parametrize("u, v", [
+    (np.nan, 0.0),
+    (0.0, 2000.5),
+    (0.0, -np.inf),
+    (2500.0, np.nan),
+    (np.inf, 3000.0),
+])
+def test_evaluate_point_rejects_what_the_array_core_rejects(u, v):
+    # a duck-typed params object skips CouplingParams' checks; the scalar
+    # twin then raises the array core's error, text and order included
+    with pytest.raises(ValueError) as want:
+        core.evaluate(u, v)
+    with pytest.raises(ValueError) as got:
+        evaluate_point(SimpleNamespace(u=u, v=v))
+    assert str(got.value) == str(want.value)
 
 
 def test_squares_as_python_float_power_does():

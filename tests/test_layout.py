@@ -75,8 +75,8 @@ def imported_names(source: str) -> set[str]:
             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
 
 
-# the scalar route through the validating dataclasses; the array core is the
-# one production path, and `reference` keeps the scalar one
+# the scalar route through the validating dataclasses; production reads the
+# array core and its scalar twin in `core`, and `reference` keeps this route
 SCALAR_ROUTE = {"VALIDATION_TOL", "bell_energies", "spectrum", "SpectralData", "correlations",
                 "CorrelationTriple", "ChshResult", "chsh_from_correlations", "chsh_max",
                 "negativity_bell_diagonal", "average_fidelity", "FidelityReport",

@@ -1,6 +1,6 @@
 """Property-based tests of the invariants the array core and the contour
-tracer must keep: bit equality of the core, over a batch and at N = 1
-(`evaluate_point`), with the scalar route `reference.scalar_record`, whose
+tracer must keep: bit equality of the core over a batch, and of its scalar twin
+behind `evaluate_point`, with the scalar route `reference.scalar_record`, whose
 validating dataclasses check the derived invariants on the core's exact
 values (weights a probability vector that never rises with energy,
 correlations in the Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelities in
@@ -63,10 +63,12 @@ def bits(x) -> np.ndarray:
 @example(AXES)
 @example(CORNERS)
 @example(LOST)
+@example([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
 def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
     u, v = np.array(pts).T
     records = [scalar_record(CouplingParams(a, b)) for a, b in pts]
-    # evaluate_point is the core at N = 1; the fields below call it on a batch
+    # evaluate_point reads the core's scalar twin; the fields below read the
+    # core on a batch
     at_one = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
     assert at_one == records
     np.testing.assert_array_equal(bits([[getattr(r, f) for f in FLOATS] for r in at_one]),
