@@ -2,8 +2,8 @@
 dipolar-coupled spin-1/2 pair, over the coupling plane (u, v) = (Delta/kT, eps/kT).
 
 The definition-level routes (dense matrices, eigensolves, channel
-arithmetic, sphere quadrature) and the scalar closed-form route live in
-`dipolepair.reference` and are not imported here."""
+arithmetic, sphere quadrature) live in `dipolepair.reference` and are not
+imported here."""
 
 from .core import (
     CHSH_CLASSICAL_BOUND,

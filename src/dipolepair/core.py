@@ -41,14 +41,13 @@ Only the inputs are checked at runtime: finite and within the stability
 limit.  For such inputs the closed forms guarantee the rest (weights a
 probability vector that never rises with energy, correlations inside the
 Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelity in [1/3, 1], Psi-minus
-never dominant); `tests/test_properties.py` proves those facts over the
-whole envelope.  Every operation repeats the scalar route's arithmetic in
-the same order, so each entry equals `reference.scalar_record` at the same
-couplings to the bit.  `evaluate` serves arrays of points; its scalar twin
-`evaluate_one` repeats the same checks and arithmetic on Python floats for
-one point, where some fifty numpy calls on 1-element arrays would cost
-several times the arithmetic.  The dense matrices, the channel arithmetic
-and the sphere quadrature behind these closed forms live in `reference`.
+never dominant); `tests/test_properties.py` asserts those facts over the
+whole envelope.  `evaluate` serves arrays of points; its scalar twin
+`evaluate_one` repeats the same checks and arithmetic, in the same order,
+on Python floats for one point, where some fifty numpy calls on 1-element
+arrays would cost several times the arithmetic, and equals `evaluate` to
+the bit.  The dense matrices, the channel arithmetic and the sphere
+quadrature behind these closed forms live in `reference`.
 """
 from __future__ import annotations
 
@@ -163,9 +162,9 @@ def weights(u, v) -> np.ndarray:
     """Boltzmann weights of the four Bell levels at each point (u, v)
     broadcast, shape (N, 4).
 
-    Energies are shifted by their minimum before exponentiating, as in
-    `reference.spectrum`, and the partition sum adds the levels in label
-    order.
+    Energies are shifted by their minimum before exponentiating, so the
+    weights stay finite over the whole envelope, and the partition sum adds
+    the levels in label order.
     """
     u, v = _points(u, v)
     for name, x in (("u", u), ("v", v)):
@@ -197,7 +196,7 @@ def evaluate(u, v) -> PhaseArrays:
     c[:, 1] = -pp + pm + sp - sm
     c[:, 2] = pp + pm - sp - sm
     # Python's float ** 2 goes through libm pow, which can differ from x * x
-    # in the last bit; the scalar route squares that way, so this one does too
+    # in the last bit; `evaluate_one` squares that way, so this one does too
     # (float_power calls pow; np.power and x * x may not)
     a, b, s = np.float_power(c, 2.0).T
     chsh = 2.0 * np.sqrt(np.maximum(np.maximum(a + b, a + s), b + s))
@@ -218,8 +217,8 @@ def evaluate_one(u, v) -> tuple:
     It keeps `weights`' input checks and their messages, and repeats the
     array core's arithmetic in the same order, so each value equals the
     core's to the bit.  The four exponentials go through one `np.exp` on a
-    4-vector, as in `reference.spectrum`: `math.exp` can differ from it in
-    the last bit.  Squares use Python's float `**` (libm pow, as
+    4-vector, as in `weights`: `math.exp` can differ from it in the last
+    bit.  Squares use Python's float `**` (libm pow, as
     `np.float_power` does) and ties fall to the earlier label, as in
     `np.argmax`.
     """

@@ -1,12 +1,10 @@
 """Definition-level routes: dense two-qubit matrices, eigensolves, channel
-arithmetic and sphere quadrature, plus the scalar closed-form route that
-the array core must equal to the bit.
+arithmetic and sphere quadrature.
 
 Each function here builds a quantity from its definition, independently of
 the closed forms of the Bell weights in `core`, so tests can hold the two
-routes against each other.  The scalar route evaluates those closed forms
-one float at a time through validating dataclasses.  This module may import
-the production modules; none of them imports it.
+routes against each other.  This module may import the production modules;
+none of them imports it.
 
 Basis convention throughout: the computational basis is ordered
 |00>, |01>, |10>, |11> with qubit A the first tensor factor.
@@ -20,25 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CHSH_BOUNDARY_TOL,
-    CHSH_CLASSICAL_BOUND,
-    CHSH_QUANTUM_BOUND,
-    SEPARABLE_NEGATIVITY_TOL,
-    BellLabel,
-    CouplingParams,
-    Region,
-)
-from .scan import ScanRecord
+from . import core
+from .core import BellLabel, CouplingParams
 
 HERMITIAN_INPUT_TOL = 1e-10
 
-# slack every validator allows on derived weights, correlations and measures
+# slack the validators allow on a negativity and on correlation entries
 VALIDATION_TOL = 1e-12
-
-# stand-in energy for an exactly zero weight: exp(-800) underflows to 0.0,
-# so the pair (E, w) stays self-consistent while remaining finite
-_ZERO_WEIGHT_ENERGY = 800.0
 
 CLASSICAL_DIMENSION = 2
 
@@ -252,7 +238,9 @@ def hamiltonian_from_tensor(params: CouplingParams) -> np.ndarray:
 def thermal_state(params: CouplingParams) -> np.ndarray:
     """Two-qubit thermal density matrix at couplings (u, v).
 
-    Assembled from the Bell-level weights:
+    Assembled from the Bell-level weights of the production core,
+    `core.weights`, so that holding it against `gibbs(hamiltonian_matrix(p))`
+    checks the core against the dense route:
 
         rho11 = rho44 = (w_PhiPlus + w_PhiMinus)/2
         rho14 = rho41 = (w_PhiPlus - w_PhiMinus)/2
@@ -264,7 +252,7 @@ def thermal_state(params: CouplingParams) -> np.ndarray:
     rho22 = e^{u/6} cosh(u/6)/Z, rho23 = e^{u/6} sinh(u/6)/Z) but are
     written in a form that cannot overflow at large couplings.
     """
-    w = spectrum(params).weights
+    w = core.weights(params.u, params.v)[0]
     r11 = (w[BellLabel.PHI_PLUS] + w[BellLabel.PHI_MINUS]) / 2.0
     r14 = (w[BellLabel.PHI_PLUS] - w[BellLabel.PHI_MINUS]) / 2.0
     r22 = (w[BellLabel.PSI_PLUS] + w[BellLabel.PSI_MINUS]) / 2.0
@@ -280,27 +268,20 @@ def thermal_state(params: CouplingParams) -> np.ndarray:
     )
 
 
+# sigma_i x sigma_j for i, j = 0..3, sigma_0 the identity
+_PAULI_PAIRS = np.array([[kron(pauli(i), pauli(j)) for j in range(4)] for i in range(4)])
+
+
 def fano_marginals(rho, tol: float = HERMITIAN_INPUT_TOL
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local Bloch vectors r, s and 3x3 correlation matrix C of a two-qubit state.
 
     r_j = Tr(rho sigma_j x I), s_j = Tr(rho I x sigma_j),
-    C_ij = Tr(rho sigma_i x sigma_j).
+    C_ij = Tr(rho sigma_i x sigma_j), all taken in one contraction.
     """
     rho = require_density_matrix(rho, tol)
-    r = np.array(
-        [float(np.trace(rho @ kron(pauli(j), pauli(0))).real) for j in (1, 2, 3)]
-    )
-    s = np.array(
-        [float(np.trace(rho @ kron(pauli(0), pauli(j))).real) for j in (1, 2, 3)]
-    )
-    c = np.array(
-        [
-            [float(np.trace(rho @ kron(pauli(i), pauli(j))).real) for j in (1, 2, 3)]
-            for i in (1, 2, 3)
-        ]
-    )
-    return r, s, c
+    t = np.einsum("ijab,ba->ij", _PAULI_PAIRS, rho).real
+    return t[1:, 0], t[0, 1:], t[1:, 1:]
 
 
 # -- measures by definition -----------------------------------------------
@@ -328,7 +309,7 @@ class NegativityResult:
         object.__setattr__(self, "pt_eigenvalues", evals)
 
 
-def chsh_max_general(corr_matrix) -> ChshResult:
+def chsh_max_general(corr_matrix) -> float:
     """Maximal CHSH value for an arbitrary 3x3 correlation matrix."""
     c = np.asarray(corr_matrix, dtype=float)
     if c.shape != (3, 3):
@@ -337,7 +318,7 @@ def chsh_max_general(corr_matrix) -> ChshResult:
         raise ValueError("correlation entries must lie in [-1, 1]")
     gram_evals = np.linalg.eigvalsh(c.T @ c)
     m = max(float(gram_evals[-1] + gram_evals[-2]), 0.0)
-    return _chsh_result(2.0 * math.sqrt(m))
+    return 2.0 * math.sqrt(m)
 
 
 def negativity(rho, tol: float = HERMITIAN_INPUT_TOL) -> NegativityResult:
@@ -389,28 +370,32 @@ def pauli_conjugation(mu: int, angles: BlochAngles) -> np.ndarray:
     return s @ angles.density() @ s
 
 
-def channel_state(spectral: SpectralData) -> np.ndarray:
-    """Bell-diagonal resource density matrix sum_a p_a |a><a|."""
+def channel_state(weights) -> np.ndarray:
+    """Bell-diagonal resource density matrix sum_a p_a |a><a| for a weight
+    vector p indexed by BellLabel."""
+    p = np.asarray(weights, dtype=float)
+    if p.shape != (4,):
+        raise ValueError(f"expected one weight per Bell state, got shape {p.shape}")
     rho = np.zeros((4, 4), dtype=complex)
     for label in BellLabel:
-        rho += spectral.weight(label) * _BELL_PROJECTORS[label]
+        rho += p[label] * _BELL_PROJECTORS[label]
     return rho
 
 
-def channel_output(spectral: SpectralData, k0: BellLabel, angles: BlochAngles) -> np.ndarray:
+def channel_output(weights, k0: BellLabel, angles: BlochAngles) -> np.ndarray:
     """Teleported qubit state, by direct matrix arithmetic.
 
     The four flip probabilities Tr(K_mu rho) and the Pauli conjugations are
     evaluated literally; no relabeling shortcut is taken, so this route can
     back the closed-form fidelities independently.
     """
-    return _teleport(spectral, k0, angles.density())
+    return _teleport(weights, k0, angles.density())
 
 
-def _teleport(spectral: SpectralData, k0: BellLabel, rho_in: np.ndarray) -> np.ndarray:
+def _teleport(weights, k0: BellLabel, rho_in: np.ndarray) -> np.ndarray:
     """`channel_output` for an input density matrix, or a stack (..., 2, 2)
     of them."""
-    rho = channel_state(spectral)
+    rho = channel_state(weights)
     seed = _BELL_PROJECTORS[BellLabel(k0)]
     flips = np.trace(_LIFTS @ seed @ _LIFTS @ rho, axis1=1, axis2=2).real.tolist()
     # every output is a density matrix exactly when the flips are a
@@ -430,21 +415,21 @@ def fidelity_pointwise(angles: BlochAngles, output, tol: float = HERMITIAN_INPUT
     return float((psi.conj() @ rho @ psi).real)
 
 
-def average_fidelity_quadrature(spectral: SpectralData, k0: BellLabel, order: int) -> float:
+def average_fidelity_quadrature(weights, k0: BellLabel, order: int) -> float:
     """Sphere-averaged fidelity by explicit quadrature over input states.
 
     Product rule: `order`-point Gauss-Legendre in cos(theta) times a
     2*order-point uniform rule in phi.  The integrand is degree 2 in the
     Bloch components, so any order >= 2 is already exact and must agree
-    with `average_fidelity` to rounding.  All input states go through the
+    with the closed form (1 + 2 p_k0)/3 to rounding.  All input states go through the
     channel arithmetic of `channel_output` in one pass.
     """
     order = int(order)
     if order < 2:
         raise ValueError(f"quadrature order must be at least 2, got {order}")
-    psi, weights = _product_rule(order)
-    out = _teleport(spectral, k0, psi[:, :, None] * psi[:, None, :].conj())
-    return float(weights @ np.einsum("ki,kij,kj->k", psi.conj(), out, psi).real)
+    psi, quad_weights = _product_rule(order)
+    out = _teleport(weights, k0, psi[:, :, None] * psi[:, None, :].conj())
+    return float(quad_weights @ np.einsum("ki,kij,kj->k", psi.conj(), out, psi).real)
 
 
 @functools.lru_cache(maxsize=8)
@@ -462,255 +447,8 @@ def _product_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return psi, weights
 
 
-# -- the scalar closed-form route -------------------------------------------
-
-def bell_energies(params: CouplingParams) -> np.ndarray:
-    """Bell-level energies in units of k_B T, indexed by BellLabel."""
-    u, v = params.u, params.v
-    return np.array([(u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0, 0.0])
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Bell-level energies, Boltzmann weights and log partition sum.
-
-    Arrays are indexed by BellLabel.  Weights are a probability vector and
-    never increase with energy; both facts are checked on construction.
-    """
-
-    energies: np.ndarray
-    weights: np.ndarray
-    log_partition: float
-
-    def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if e.shape != (4,) or w.shape != (4,):
-            raise ValueError(f"expected 4 Bell levels, got shapes {e.shape}, {w.shape}")
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(w))):
-            raise ValueError("energies and weights must be finite")
-        if float(w.min()) < -VALIDATION_TOL or float(w.max()) > 1.0 + VALIDATION_TOL:
-            raise ValueError(f"weights must lie in [0, 1], got {w!r}")
-        if abs(float(w.sum()) - 1.0) > VALIDATION_TOL:
-            raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
-        order = np.argsort(e, kind="stable")
-        if float(np.max(np.diff(w[order]))) > VALIDATION_TOL:
-            raise ValueError("weights must not increase with energy")
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "log_partition", float(self.log_partition))
-
-    def weight(self, label: BellLabel) -> float:
-        return float(self.weights[BellLabel(label)])
-
-    def dominant(self) -> tuple[BellLabel, float]:
-        """Highest-weight level; exact ties fall to the canonical label order."""
-        best = BellLabel.PHI_PLUS
-        for label in BellLabel:
-            if self.weights[label] > self.weights[best]:
-                best = label
-        return best, float(self.weights[best])
-
-    @classmethod
-    def from_weights(cls, weights) -> "SpectralData":
-        """Spectral data for bare Boltzmann weights (implied partition sum 1)."""
-        w = np.asarray(weights, dtype=float)
-        e = np.array(
-            [-math.log(x) if x > 0.0 else _ZERO_WEIGHT_ENERGY for x in w.ravel()]
-        )
-        return cls(energies=e, weights=w, log_partition=0.0)
-
-
-def spectrum(params: CouplingParams) -> SpectralData:
-    """Boltzmann weights of the four Bell levels at couplings (u, v).
-
-    Exponentials are taken after subtracting the minimum energy:
-    weights stay finite and normalized all the way to |u| = |v| = 2000,
-    and log Z = log(sum_a exp(-(E_a - E_min))) - E_min recovers the
-    unshifted partition sum.
-    """
-    e = bell_energies(params)
-    shift = float(e.min())
-    scaled = np.exp(-(e - shift))
-    z = float(scaled.sum())
-    return SpectralData(energies=e, weights=scaled / z, log_partition=math.log(z) - shift)
-
-
-@dataclass(frozen=True)
-class CorrelationTriple:
-    """Diagonal spin-spin correlations (c1, c2, c3) of a Bell-diagonal state.
-
-    The admissible region is the tetrahedron whose vertices are the four
-    Bell states; membership is enforced by requiring the equivalent Bell
-    weights to form a probability vector.
-    """
-
-    c1: float
-    c2: float
-    c3: float
-
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3"):
-            x = float(getattr(self, name))
-            if not math.isfinite(x) or abs(x) > 1.0 + VALIDATION_TOL:
-                raise ValueError(f"{name} must lie in [-1, 1], got {x!r}")
-            object.__setattr__(self, name, x)
-        w = self.bell_weights()
-        if float(w.min()) < -VALIDATION_TOL:
-            raise ValueError(f"({self.c1}, {self.c2}, {self.c3}) lies outside the Bell tetrahedron")
-
-    def bell_weights(self) -> np.ndarray:
-        """Equivalent Bell weights, indexed by BellLabel."""
-        c1, c2, c3 = self.c1, self.c2, self.c3
-        return (
-            np.array(
-                [
-                    1.0 + c1 - c2 + c3,
-                    1.0 - c1 + c2 + c3,
-                    1.0 + c1 + c2 - c3,
-                    1.0 - c1 - c2 - c3,
-                ]
-            )
-            / 4.0
-        )
-
-    def matrix(self) -> np.ndarray:
-        return np.diag([self.c1, self.c2, self.c3])
-
-    @classmethod
-    def from_weights(cls, weights) -> "CorrelationTriple":
-        w = np.asarray(weights, dtype=float)
-        wpp = w[BellLabel.PHI_PLUS]
-        wpm = w[BellLabel.PHI_MINUS]
-        wsp = w[BellLabel.PSI_PLUS]
-        wsm = w[BellLabel.PSI_MINUS]
-        return cls(
-            c1=wpp - wpm + wsp - wsm,
-            c2=-wpp + wpm + wsp - wsm,
-            c3=wpp + wpm - wsp - wsm,
-        )
-
-
-def correlations(params: CouplingParams) -> CorrelationTriple:
-    """Diagonal correlations of the thermal state; c1 <-> c2 under v -> -v."""
-    return CorrelationTriple.from_weights(spectrum(params).weights)
-
-
-@dataclass(frozen=True)
-class ChshResult:
-    """Maximal CHSH expectation and whether it breaches the classical bound."""
-
-    value: float
-    violating: bool
-
-    def __post_init__(self):
-        x = float(self.value)
-        if not (-VALIDATION_TOL <= x <= CHSH_QUANTUM_BOUND + VALIDATION_TOL):
-            raise ValueError(f"CHSH value {x!r} outside [0, 2*sqrt(2)]")
-        object.__setattr__(self, "value", x)
-
-
-def _chsh_result(value: float) -> ChshResult:
-    value = max(0.0, float(value))
-    return ChshResult(value=value, violating=value > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL)
-
-
-def chsh_from_correlations(corr: CorrelationTriple) -> ChshResult:
-    """Closed form for a diagonal correlation matrix: drop the smallest c_i^2."""
-    a, b, c = corr.c1 ** 2, corr.c2 ** 2, corr.c3 ** 2
-    return _chsh_result(2.0 * math.sqrt(max(a + b, a + c, b + c)))
-
-
-def chsh_max(params: CouplingParams) -> ChshResult:
-    """Maximal CHSH value of the thermal state at couplings (u, v)."""
-    return chsh_from_correlations(correlations(params))
-
-
-def negativity_bell_diagonal(spectral: SpectralData) -> float:
-    """Closed form for a Bell-diagonal state: max(0, max_a p_a - 1/2)."""
-    return max(0.0, float(np.max(spectral.weights)) - 0.5)
-
-
-def average_fidelity(spectral: SpectralData, k0: BellLabel) -> float:
-    """Bloch-sphere average of the teleportation fidelity: (1 + 2 p_k0)/3."""
-    return (1.0 + 2.0 * spectral.weight(k0)) / 3.0
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Average fidelity per measurement seed plus the best achievable choice."""
-
-    fidelities: np.ndarray
-    best: float
-    best_label: BellLabel
-    above_classical: bool
-
-    def __post_init__(self):
-        f = np.asarray(self.fidelities, dtype=float)
-        if f.shape != (4,):
-            raise ValueError(f"expected one fidelity per Bell seed, got shape {f.shape}")
-        if (float(f.min()) < 1.0 / 3.0 - VALIDATION_TOL
-                or float(f.max()) > 1.0 + VALIDATION_TOL):
-            raise ValueError(f"fidelities {f!r} outside [1/3, 1]")
-        if abs(float(self.best) - float(f.max())) > VALIDATION_TOL:
-            raise ValueError("best fidelity must be the maximum over seeds")
-        object.__setattr__(self, "fidelities", f)
-        object.__setattr__(self, "best", float(self.best))
-
-
 def minimum_fidelity(dim: int = CLASSICAL_DIMENSION) -> float:
     """Best classical (measure-and-resend) average fidelity 2/(1 + d)."""
     if int(dim) != dim or int(dim) < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {dim!r}")
     return 2.0 / (1.0 + int(dim))
-
-
-def best_fidelity(spectral: SpectralData) -> FidelityReport:
-    """Best average fidelity over the four measurement seeds.
-
-    The maximum over all four equals the usual maximum over the first
-    three, because the Psi-minus weight can never strictly dominate a
-    thermal spectrum here; scanning all four keeps the report honest for
-    arbitrary Bell-diagonal inputs.  Exact ties fall to the canonical
-    label order.
-    """
-    fids = np.array([average_fidelity(spectral, label) for label in BellLabel])
-    best_label = BellLabel.PHI_PLUS
-    for label in BellLabel:
-        if fids[label] > fids[best_label]:
-            best_label = label
-    best = float(fids[best_label])
-    return FidelityReport(
-        fidelities=fids,
-        best=best,
-        best_label=best_label,
-        above_classical=best > minimum_fidelity(CLASSICAL_DIMENSION),
-    )
-
-
-def scalar_record(params: CouplingParams) -> ScanRecord:
-    """All reported quantities at one coupling point, one float at a time
-    through the validating dataclasses: `SpectralData`, `CorrelationTriple`,
-    `ChshResult` and `FidelityReport` check every derived invariant on the
-    way, so a result equal to the array core's checks the core's output."""
-    spectral = spectrum(params)
-    chsh = chsh_from_correlations(CorrelationTriple.from_weights(spectral.weights))
-    neg = negativity_bell_diagonal(spectral)
-    report = best_fidelity(spectral)
-    label, weight = spectral.dominant()
-    if neg < SEPARABLE_NEGATIVITY_TOL:
-        region = Region.SEPARABLE
-    elif chsh.violating:
-        region = Region.NONLOCAL
-    else:
-        region = Region.ENTANGLED_LOCAL
-    return ScanRecord(
-        u=params.u,
-        v=params.v,
-        chsh=chsh.value,
-        negativity=neg,
-        fidelity=report.best,
-        dominant_weight=weight,
-        dominant_label=label,
-        region=region,
-    )

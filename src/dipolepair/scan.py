@@ -64,8 +64,15 @@ class GridSpec:
     nv: int
 
     def __post_init__(self):
+        # bounds are checked before any axis is built: the step (max - min)
+        # / (count - 1) of bounds near the float range overflows
         for name in ("u_min", "u_max", "v_min", "v_max"):
-            object.__setattr__(self, name, core.finite_float(name, getattr(self, name)))
+            x = core.finite_float(name, getattr(self, name))
+            if abs(x) > COUPLING_LIMIT:
+                raise ValueError(
+                    f"|{name}| = {abs(x)!r} exceeds the stability limit {COUPLING_LIMIT}"
+                )
+            object.__setattr__(self, name, x)
         for name in ("nu", "nv"):
             n = getattr(self, name)
             try:

@@ -10,23 +10,18 @@ import time
 
 import numpy as np
 
+from dipolepair import core
 from dipolepair.core import CHSH_QUANTUM_BOUND, BellLabel, CouplingParams
 from dipolepair.reference import (
-    SpectralData,
-    average_fidelity,
     average_fidelity_quadrature,
     bell_state,
-    best_fidelity,
-    chsh_max,
-    correlations,
+    fano_marginals,
     gibbs,
     hamiltonian_from_tensor,
     hamiltonian_matrix,
     minimum_fidelity,
     negativity,
-    negativity_bell_diagonal,
     projector,
-    spectrum,
     thermal_state,
 )
 from dipolepair.scan import (
@@ -77,16 +72,16 @@ def test_criterion_2_thermal_state_matches_gibbs_oracle():
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 5.0
     report(2, ok,
-           "weight-assembled thermal state vs exponential route, 41x41 grid: "
+           "thermal state from the core's weights vs exponential route, 41x41 grid: "
            f"max entry diff {worst:.2e} (tol 1e-12), {elapsed:.2f} s (< 5 s)")
 
 
 def test_criterion_3_negativity_closed_form_vs_definition():
     worst = 0.0
-    for p in grid_params(GRID41):
-        closed = negativity_bell_diagonal(spectrum(p))
+    closed = core.evaluate(*np.meshgrid(GRID41.u_coords(), GRID41.v_coords())).negativity
+    for p, n in zip(grid_params(GRID41), closed.tolist()):
         full = negativity(thermal_state(p)).value
-        worst = max(worst, abs(closed - full))
+        worst = max(worst, abs(n - full))
 
     # the widely printed absolute-value grouping is NOT equivalent to the
     # trace-norm definition: on a pure Bell state it returns 3/4, not 1/2
@@ -95,9 +90,9 @@ def test_criterion_3_negativity_closed_form_vs_definition():
 
     bell = negativity(projector(bell_state(BellLabel.PSI_PLUS))).value
     printed_bell = printed_form(1.0, 1.0, -1.0)
-    c = correlations(CouplingParams(3.0, 1.0))
-    printed_31 = printed_form(c.c1, c.c2, c.c3)
-    definitional_31 = negativity(thermal_state(CouplingParams(3.0, 1.0))).value
+    rho_31 = thermal_state(CouplingParams(3.0, 1.0))
+    printed_31 = printed_form(*np.diag(fano_marginals(rho_31)[2]))
+    definitional_31 = negativity(rho_31).value
     rejected = (
         abs(printed_bell - 0.75) < 1e-14
         and abs(bell - 0.5) < 1e-14
@@ -116,29 +111,27 @@ def test_criterion_4_fidelity_quadrature_matches_closed_form():
     worst = 0.0
     points = grid_params(grid21)
     for p in points:
-        sd = spectrum(p)
-        for label in BellLabel:
-            quad = average_fidelity_quadrature(sd, label, 2)
-            closed = average_fidelity(sd, label)
-            worst = max(worst, abs(quad - closed))
+        w = core.weights(p.u, p.v)[0]
+        quads = [average_fidelity_quadrature(w, label, 2) for label in BellLabel]
+        closed = [(1.0 + 2.0 * w[label]) / 3.0 for label in BellLabel]
+        # the core's fidelity is the best seed's
+        worst = max(worst, *(abs(q - c) for q, c in zip(quads, closed)),
+                    abs(max(quads) - core.evaluate_one(p.u, p.v)[4]))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 5.0
     report(4, ok,
-           f"sphere quadrature vs (1+2p)/3 at {len(points)} grid points x 4 seeds: "
+           f"sphere quadrature vs (1+2p)/3 at {len(points)} grid points x 4 seeds, "
+           f"best seed vs the core's fidelity: "
            f"max diff {worst:.2e} (tol 1e-12), {elapsed:.2f} s (< 5 s)")
 
 
 def test_criterion_5_strong_coupling_limits():
-    p = CouplingParams(30.0, 0.0)
-    sd = spectrum(p)
-    weight = sd.weight(BellLabel.PSI_PLUS)
-    neg = negativity_bell_diagonal(sd)
-    chsh = chsh_max(p).value
-    fid = average_fidelity(sd, BellLabel.PSI_PLUS)
-    label_high, _ = spectrum(CouplingParams(-10.0, 10.0)).dominant()
-    label_low, _ = spectrum(CouplingParams(-10.0, -10.0)).dominant()
+    _, _, chsh, neg, fid, label, weight, _ = core.evaluate_one(30.0, 0.0)
+    label_high = core.LABELS[core.evaluate_one(-10.0, 10.0)[5]]
+    label_low = core.LABELS[core.evaluate_one(-10.0, -10.0)[5]]
     ok = (
-        abs(weight - 1.0) < 1e-4
+        label == BellLabel.PSI_PLUS
+        and abs(weight - 1.0) < 1e-4
         and abs(neg - 0.5) < 1e-4
         and abs(chsh - CHSH_QUANTUM_BOUND) < 1e-3
         and abs(fid - 1.0) < 1e-4
@@ -157,14 +150,15 @@ def test_criterion_6_classical_threshold_and_affine_identity():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(500):
-        sd = SpectralData.from_weights(rng.dirichlet(np.ones(4)))
-        lhs = best_fidelity(sd).best - 2.0 / 3.0
-        rhs = (2.0 / 3.0) * (float(np.max(sd.weights)) - 0.5)
+        u, v = rng.uniform(-12.0, 12.0, 2).tolist()
+        fidelity, weight = (core.evaluate_one(u, v)[k] for k in (4, 6))
+        lhs = fidelity - 2.0 / 3.0
+        rhs = (2.0 / 3.0) * (weight - 0.5)
         worst = max(worst, abs(lhs - rhs))
     ok = exact and worst <= 1e-14
     report(6, ok,
            f"minimum_fidelity(2) == 2/3 exactly: {exact}; affine identity "
-           f"best - 2/3 = (2/3)(max p - 1/2) on 500 random weight vectors: "
+           f"best - 2/3 = (2/3)(max p - 1/2) at 500 random coupling points: "
            f"max dev {worst:.2e} (tol 1e-14)")
 
 
@@ -237,12 +231,10 @@ def test_criterion_8_boundary_coincidence_and_nesting():
 
 
 def test_criterion_9_degenerate_ground_state():
-    sd = spectrum(CouplingParams(-6.0, 0.0))
-    w_plus = sd.weight(BellLabel.PHI_PLUS)
-    w_minus = sd.weight(BellLabel.PHI_MINUS)
-    neg_closed = negativity_bell_diagonal(sd)
+    w = core.weights(-6.0, 0.0)[0]
+    w_plus, w_minus = w[BellLabel.PHI_PLUS], w[BellLabel.PHI_MINUS]
+    _, _, _, neg_closed, best, _, _, _ = core.evaluate_one(-6.0, 0.0)
     neg_full = negativity(thermal_state(CouplingParams(-6.0, 0.0))).value
-    best = best_fidelity(sd).best
     ok = (
         w_plus == w_minus
         and abs(w_plus - 0.4136219764199625) < 1e-12

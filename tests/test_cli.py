@@ -9,8 +9,6 @@ import pytest
 
 from dipolepair import core
 from dipolepair.cli import run_cli
-from dipolepair.core import CouplingParams
-from dipolepair.reference import spectrum
 
 
 def run(capsys, *argv):
@@ -80,11 +78,17 @@ class TestScanCommand:
 
     def test_range_beyond_stability_limit_fails_before_output(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
-        for extra in ([], ["--out", str(out)]):
-            code, stdout, err = run(capsys, "scan", "--u", "-3000:0:3", "--v", "0:1:3", *extra)
-            assert code == 2
-            assert stdout == ""
-            assert "stability limit" in err
+        # -1e308:1e308 has finite bounds whose axis step overflows; it fails
+        # on its bounds, with one error line and no numpy warning before it
+        for command, u_range in ((["scan"], "-3000:0:3"), (["scan"], "-1e308:1e308:3"),
+                                 (["boundary", "--quantity", "chsh"], "-1e308:1e308:3")):
+            for extra in ([], ["--out", str(out)]):
+                code, stdout, err = run(capsys, *command, "--u", u_range, "--v", "0:1:2",
+                                        *extra)
+                assert code == 2
+                assert stdout == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert "stability limit" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_scan_keeps_existing_out_file(self, tmp_path, monkeypatch, capsys):
@@ -139,8 +143,8 @@ class TestBoundaryCommand:
         assert len(lines) > 1
         for line in lines[1:]:
             _, u, v = line.split(",")
-            sd = spectrum(CouplingParams(float(u), float(v)))
-            assert abs(float(sd.weights.max()) - 0.5) < 1e-9
+            w = core.weights(float(u), float(v))
+            assert abs(float(w.max()) - 0.5) < 1e-9
 
     def test_unknown_quantity_is_usage_error(self, capsys):
         code, _, _ = run(

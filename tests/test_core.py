@@ -7,15 +7,13 @@ import pytest
 
 from dipolepair import core
 from dipolepair.core import CouplingParams
-from dipolepair.reference import scalar_record
 from dipolepair.scan import BoundaryQuantity, GridSpec, boundary_field, evaluate_point
 
 
 def test_matches_evaluate_point_at_scattered_points():
     # a block of 3200 points, and a column of u or v against a scalar: the
-    # core has one entry per point in every column, and it, its scalar twin
-    # behind evaluate_point and the scalar route through the validating
-    # dataclasses all agree
+    # core has one entry per point in every column, and it and its scalar
+    # twin behind evaluate_point agree to the bit
     rng = np.random.default_rng(5)
     u = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
     v = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
@@ -24,14 +22,12 @@ def test_matches_evaluate_point_at_scattered_points():
         us, vs = (x.tolist() for x in np.broadcast_arrays(*args))
         assert {len(column) for column in vars(b).values()} == {len(us)}
         for k, (uk, vk) in enumerate(zip(us, vs)):
-            p = CouplingParams(uk, vk)
-            rec = scalar_record(p)
+            rec = evaluate_point(CouplingParams(uk, vk))
             assert (b.u[k], b.v[k]) == (rec.u, rec.v)
             assert (b.chsh[k], b.negativity[k], b.fidelity[k], b.dominant_weight[k]) == (
                 rec.chsh, rec.negativity, rec.fidelity, rec.dominant_weight)
             assert core.LABELS[b.dominant[k]] is rec.dominant_label
             assert core.REGIONS[b.region[k]] is rec.region
-            assert evaluate_point(p) == rec
             one = core.evaluate_one(uk, vk)
             assert np.array_equal(np.array(one, dtype=float).view(np.int64),
                                   np.array([getattr(b, f)[k] for f in vars(b)],
@@ -71,7 +67,7 @@ def test_evaluate_point_does_not_call_the_array_core(monkeypatch):
         raise AssertionError("evaluate_point called core.evaluate")
 
     monkeypatch.setattr(core, "evaluate", fail)
-    assert evaluate_point(p) == want == scalar_record(p)
+    assert evaluate_point(p) == want
 
 
 @pytest.mark.parametrize("u, v", [
@@ -92,7 +88,7 @@ def test_evaluate_point_rejects_what_the_array_core_rejects(u, v):
 
 
 def test_squares_as_python_float_power_does():
-    # the scalar route squares with Python's x ** 2 (libm pow); on this
+    # evaluate_one squares with Python's x ** 2 (libm pow); on this
     # draw x * x differs from pow in the last bit somewhere, float_power nowhere
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(-1.0, 1.0, 900_000), rng.uniform(-1e-3, 1e-3, 100_000)])

@@ -1,6 +1,6 @@
-"""Tests for the thermal dipolar-pair model: the couplings of `core`, and
-the spectrum and correlations of the scalar route in `reference` against
-its dense Hamiltonian and thermal-state matrices.
+"""Tests for the thermal dipolar-pair model: the couplings, Boltzmann
+weights and correlations of `core` against the dense Hamiltonian and
+thermal-state matrices of `reference`.
 
 Expected numbers at (u, v) = (3, 1) and (-6, 0) were frozen from an
 independent matrix-exponential computation (scipy expm of the 4x4
@@ -12,19 +12,16 @@ import math
 import numpy as np
 import pytest
 
+from dipolepair import core
 from dipolepair.core import COUPLING_LIMIT, BellLabel, CouplingParams
 from dipolepair.reference import (
-    CorrelationTriple,
-    SpectralData,
-    bell_energies,
     bell_state,
-    correlations,
     fano_marginals,
     gibbs,
     hamiltonian_from_tensor,
     hamiltonian_matrix,
+    hermitian_eig,
     projector,
-    spectrum,
     thermal_state,
 )
 
@@ -42,6 +39,22 @@ C31 = (0.21355226703407254, 0.4621171572600097, -0.46211715726000974)
 
 def random_params(rng, scale=8.0):
     return CouplingParams(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+
+def energies(p):
+    """Bell-level energies as documented in `core`, indexed by BellLabel."""
+    return np.array([(p.u + 3.0 * p.v) / 6.0, (p.u - 3.0 * p.v) / 6.0, -p.u / 3.0, 0.0])
+
+
+def weights(p):
+    return core.weights(p.u, p.v)[0]
+
+
+def correlations(p):
+    """Diagonal spin-spin correlations (c1, c2, c3): signed sums of the
+    core's weights."""
+    pp, pm, sp, sm = weights(p)
+    return np.array([pp - pm + sp - sm, -pp + pm + sp - sm, pp + pm - sp - sm])
 
 
 class TestCouplingParams:
@@ -96,7 +109,7 @@ class TestHamiltonian:
         rng = np.random.default_rng(6)
         for _ in range(20):
             p = random_params(rng)
-            e = bell_energies(p)
+            e = energies(p)
             rebuilt = sum(
                 e[label] * projector(bell_state(label)) for label in BellLabel
             )
@@ -105,79 +118,52 @@ class TestHamiltonian:
 
 class TestSpectrum:
     def test_energies(self):
-        e = bell_energies(CouplingParams(3.0, 1.0))
-        np.testing.assert_allclose(e, [1.0, 0.0, -1.0, 0.0])
+        p = CouplingParams(3.0, 1.0)
+        np.testing.assert_allclose(energies(p), [1.0, 0.0, -1.0, 0.0])
+        np.testing.assert_allclose(
+            hermitian_eig(hamiltonian_matrix(p)).eigenvalues, [-1.0, 0.0, 0.0, 1.0],
+            atol=1e-15,
+        )
 
     def test_zero_couplings_uniform(self):
-        sd = spectrum(CouplingParams(0.0, 0.0))
-        np.testing.assert_array_equal(sd.weights, [0.25] * 4)
-        assert sd.log_partition == pytest.approx(math.log(4.0))
+        np.testing.assert_array_equal(weights(CouplingParams(0.0, 0.0)), [0.25] * 4)
 
     def test_frozen_weights(self):
-        sd = spectrum(CouplingParams(3.0, 1.0))
+        w = weights(CouplingParams(3.0, 1.0))
         for label, expected in W31.items():
-            assert sd.weight(label) == pytest.approx(expected, abs=1e-14)
+            assert w[label] == pytest.approx(expected, abs=1e-14)
 
     def test_log_partition(self):
-        # direct unshifted sum is safe at small couplings
-        sd = spectrum(CouplingParams(3.0, 1.0))
-        z = sum(math.exp(-e) for e in bell_energies(CouplingParams(3.0, 1.0)))
-        assert sd.log_partition == pytest.approx(math.log(z), abs=1e-13)
+        # the shifted exponentials give the unshifted Boltzmann ratios, which
+        # are safe to sum directly at small couplings
+        p = CouplingParams(3.0, 1.0)
+        boltzmann = [math.exp(-e) for e in energies(p)]
+        np.testing.assert_allclose(weights(p), np.array(boltzmann) / sum(boltzmann),
+                                   rtol=0.0, atol=1e-15)
 
     def test_ground_state_saturates(self):
-        sd = spectrum(CouplingParams(30.0, 0.0))
-        assert abs(sd.weight(BellLabel.PSI_PLUS) - 1.0) < 1e-4
+        w = weights(CouplingParams(30.0, 0.0))
+        assert abs(w[BellLabel.PSI_PLUS] - 1.0) < 1e-4
 
     def test_weights_inverse_order_of_energy(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            sd = spectrum(random_params(rng))
-            assert abs(float(sd.weights.sum()) - 1.0) < 1e-12
-            order = np.argsort(sd.energies)
-            assert np.all(np.diff(sd.weights[order]) <= 1e-15)
+            p = random_params(rng)
+            w = weights(p)
+            assert abs(float(w.sum()) - 1.0) < 1e-12
+            order = np.argsort(energies(p))
+            assert np.all(np.diff(w[order]) <= 1e-15)
 
     def test_extreme_couplings_stay_finite(self):
-        sd = spectrum(CouplingParams(2000.0, -2000.0))
-        assert np.all(np.isfinite(sd.weights))
-        assert float(sd.weights.sum()) == pytest.approx(1.0)
-        assert math.isfinite(sd.log_partition)
+        w = weights(CouplingParams(2000.0, -2000.0))
+        assert np.all(np.isfinite(w))
+        assert float(w.sum()) == pytest.approx(1.0)
 
     def test_dominant_tie_break(self):
-        label, weight = spectrum(CouplingParams(0.0, 0.0)).dominant()
-        assert label is BellLabel.PHI_PLUS and weight == 0.25
-        label, _ = spectrum(CouplingParams(30.0, 0.0)).dominant()
-        assert label is BellLabel.PSI_PLUS
-
-
-class TestSpectralDataValidation:
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError, match="weights"):
-            SpectralData(np.zeros(4), np.array([1.2, -0.2, 0.0, 0.0]), 0.0)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="sum"):
-            SpectralData(np.zeros(4), np.array([0.3, 0.3, 0.3, 0.3]), 0.0)
-
-    def test_rejects_weight_increasing_with_energy(self):
-        with pytest.raises(ValueError, match="increase"):
-            SpectralData(
-                np.array([0.0, 1.0, 2.0, 3.0]),
-                np.array([0.1, 0.2, 0.3, 0.4]),
-                0.0,
-            )
-
-    def test_from_weights_roundtrip(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            w = rng.dirichlet(np.ones(4))
-            sd = SpectralData.from_weights(w)
-            np.testing.assert_allclose(sd.weights, w)
-            # synthesized energies reproduce the weights at log Z = 0
-            np.testing.assert_allclose(np.exp(-sd.energies), w, atol=1e-12)
-
-    def test_from_weights_accepts_zero(self):
-        sd = SpectralData.from_weights([1.0, 0.0, 0.0, 0.0])
-        assert sd.weight(BellLabel.PHI_PLUS) == 1.0
+        # evaluate_one returns the dominant label's index and its weight
+        _, _, _, _, _, label, weight, _ = core.evaluate_one(0.0, 0.0)
+        assert label == BellLabel.PHI_PLUS and weight == 0.25
+        assert core.evaluate_one(30.0, 0.0)[5] == BellLabel.PSI_PLUS
 
 
 class TestThermalState:
@@ -210,68 +196,58 @@ class TestThermalState:
         rng = np.random.default_rng(24)
         for _ in range(20):
             p = random_params(rng)
-            sd = spectrum(p)
-            rebuilt = sum(
-                sd.weight(label) * projector(bell_state(label)) for label in BellLabel
-            )
+            w = weights(p)
+            rebuilt = sum(w[label] * projector(bell_state(label)) for label in BellLabel)
             np.testing.assert_allclose(thermal_state(p), rebuilt, atol=1e-14)
 
     def test_degenerate_phi_doublet(self):
         # at (-6, 0) the two Phi levels share the ground energy -1
-        sd = spectrum(CouplingParams(-6.0, 0.0))
-        assert sd.weight(BellLabel.PHI_PLUS) == sd.weight(BellLabel.PHI_MINUS)
-        assert sd.weight(BellLabel.PHI_PLUS) == pytest.approx(
-            0.4136219764199625, abs=1e-14
-        )
+        w = weights(CouplingParams(-6.0, 0.0))
+        assert w[BellLabel.PHI_PLUS] == w[BellLabel.PHI_MINUS]
+        assert w[BellLabel.PHI_PLUS] == pytest.approx(0.4136219764199625, abs=1e-14)
         # no Bell component reaches 1/2
-        assert float(sd.weights.max()) < 0.5
+        assert float(w.max()) < 0.5
 
 
 class TestCorrelations:
     def test_uncorrelated_at_zero(self):
-        c = correlations(CouplingParams(0.0, 0.0))
-        assert (c.c1, c.c2, c.c3) == (0.0, 0.0, 0.0)
+        np.testing.assert_array_equal(correlations(CouplingParams(0.0, 0.0)), [0.0] * 3)
 
     def test_frozen_values(self):
         c = correlations(CouplingParams(3.0, 1.0))
-        assert c.c1 == pytest.approx(C31[0], abs=1e-14)
-        assert c.c2 == pytest.approx(C31[1], abs=1e-14)
-        assert c.c3 == pytest.approx(C31[2], abs=1e-14)
+        np.testing.assert_allclose(c, C31, rtol=0.0, atol=1e-14)
 
     def test_explicit_partition_ratio(self):
         # unshifted Boltzmann ratios are safe at moderate couplings
         for u, v in [(3.0, 1.0), (-2.0, 0.5), (1.5, -4.0)]:
-            z = sum(math.exp(-e) for e in bell_energies(CouplingParams(u, v)))
-            c = correlations(CouplingParams(u, v))
+            z = sum(math.exp(-e) for e in energies(CouplingParams(u, v)))
+            c3 = correlations(CouplingParams(u, v))[2]
             expected_c3 = (
                 math.exp(-(u + 3 * v) / 6) + math.exp(-(u - 3 * v) / 6)
                 - math.exp(u / 3) - 1.0
             ) / z
-            assert c.c3 == pytest.approx(expected_c3, abs=1e-13)
+            assert c3 == pytest.approx(expected_c3, abs=1e-13)
 
     def test_v_parity_swaps_c1_c2(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
             p = random_params(rng)
-            a = correlations(p)
-            b = correlations(CouplingParams(p.u, -p.v))
-            assert a.c1 == pytest.approx(b.c2, abs=1e-15)
-            assert a.c2 == pytest.approx(b.c1, abs=1e-15)
-            assert a.c3 == pytest.approx(b.c3, abs=1e-15)
+            c1, c2, c3 = correlations(p)
+            m1, m2, m3 = correlations(CouplingParams(p.u, -p.v))
+            assert c1 == pytest.approx(m2, abs=1e-15)
+            assert c2 == pytest.approx(m1, abs=1e-15)
+            assert c3 == pytest.approx(m3, abs=1e-15)
 
     def test_weight_roundtrip(self):
+        # the correlation matrix of the dense thermal state gives back the
+        # core's weights through the vertices of the Bell tetrahedron
         rng = np.random.default_rng(30)
         for _ in range(50):
-            sd = spectrum(random_params(rng))
-            c = CorrelationTriple.from_weights(sd.weights)
-            np.testing.assert_allclose(c.bell_weights(), sd.weights, atol=1e-14)
-
-    def test_tetrahedron_membership_enforced(self):
-        with pytest.raises(ValueError, match="tetrahedron"):
-            CorrelationTriple(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            CorrelationTriple(2.0, 0.0, 0.0)
-        CorrelationTriple(1.0, -1.0, 1.0)  # Phi+ vertex is admissible
+            p = random_params(rng)
+            c1, c2, c3 = np.diag(fano_marginals(thermal_state(p))[2])
+            bell = np.array([1 + c1 - c2 + c3, 1 - c1 + c2 + c3,
+                             1 + c1 + c2 - c3, 1 - c1 - c2 - c3]) / 4
+            np.testing.assert_allclose(bell, weights(p), atol=1e-14)
 
 
 class TestFanoMarginals:
@@ -292,12 +268,9 @@ class TestFanoMarginals:
         for _ in range(20):
             p = random_params(rng)
             r, s, c = fano_marginals(thermal_state(p))
-            trip = correlations(p)
             np.testing.assert_allclose(r, 0.0, atol=1e-13)
             np.testing.assert_allclose(s, 0.0, atol=1e-13)
-            np.testing.assert_allclose(
-                c, np.diag([trip.c1, trip.c2, trip.c3]), atol=1e-13
-            )
+            np.testing.assert_allclose(c, np.diag(correlations(p)), atol=1e-13)
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,13 @@
 """Layout of the package: the production import path loads `core`, `scan`
 and the CLI and nothing else, so it stays free of the definition-level
-oracles; no production module imports anything of the scalar route; no
-module carries an unused import; and the public namespace resolves.
+oracles; no module carries an unused import; the public namespace
+resolves; and the README's library example runs.
 
 Standard library only, so the checks run wherever the test suite does.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,27 +70,15 @@ def test_unused_import_check_sees_an_unused_name():
     assert unused_imports(source) == ["math (line 1)"]
 
 
-def imported_names(source: str) -> set[str]:
-    """Every name a module imports, at any depth."""
-    return {alias.name.split(".")[-1] for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-
-
-# the scalar route through the validating dataclasses; production reads the
-# array core and its scalar twin in `core`, and `reference` keeps this route
-SCALAR_ROUTE = {"VALIDATION_TOL", "bell_energies", "spectrum", "SpectralData", "correlations",
-                "CorrelationTriple", "ChshResult", "chsh_from_correlations", "chsh_max",
-                "negativity_bell_diagonal", "average_fidelity", "FidelityReport",
-                "minimum_fidelity", "best_fidelity"}
-
-
-@pytest.mark.parametrize("module", ["core.py", "scan.py", "cli.py", "__init__.py"])
-def test_array_path_stays_off_the_scalar_route(module):
-    assert imported_names((PACKAGE / module).read_text()) & SCALAR_ROUTE == set()
-
-
 def test_every_exported_name_resolves():
     names = dipolepair.__all__
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(dipolepair, name)]
     assert missing == []
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -1,5 +1,5 @@
-"""Tests for the CHSH and negativity measures: the closed forms of the
-scalar route in `reference` against its general routes by definition.
+"""Tests for the CHSH and negativity measures: the closed forms of `core`
+against the general routes by definition in `reference`.
 
 Frozen numbers come from an independent matrix-exponential plus
 eigendecomposition oracle run before the measures were written.
@@ -9,20 +9,20 @@ import math
 import numpy as np
 import pytest
 
-from dipolepair.core import CHSH_QUANTUM_BOUND, BellLabel, CouplingParams
+from dipolepair import core
+from dipolepair.core import (
+    CHSH_CLASSICAL_BOUND,
+    CHSH_QUANTUM_BOUND,
+    BellLabel,
+    CouplingParams,
+    Region,
+)
 from dipolepair.reference import (
-    ChshResult,
-    CorrelationTriple,
-    SpectralData,
     bell_state,
-    chsh_from_correlations,
-    chsh_max,
     chsh_max_general,
-    correlations,
+    fano_marginals,
     negativity,
-    negativity_bell_diagonal,
     projector,
-    spectrum,
     thermal_state,
 )
 
@@ -36,20 +36,31 @@ def random_params(rng, scale=8.0):
     return CouplingParams(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
 
 
+def chsh(p):
+    return core.evaluate_one(p.u, p.v)[2]
+
+
+def closed_negativity(p):
+    return core.evaluate_one(p.u, p.v)[3]
+
+
+def correlation_matrix(p):
+    """3x3 correlation matrix of the dense thermal state."""
+    return fano_marginals(thermal_state(p))[2]
+
+
 class TestChshGeneral:
     def test_zero_matrix(self):
-        res = chsh_max_general(np.zeros((3, 3)))
-        assert res.value == 0.0 and not res.violating
+        assert chsh_max_general(np.zeros((3, 3))) == 0.0
 
     def test_bell_state_saturates_quantum_bound(self):
-        res = chsh_max_general(np.diag([1.0, 1.0, -1.0]))
-        assert res.value == pytest.approx(CHSH_QUANTUM_BOUND, abs=1e-14)
-        assert res.violating
+        value = chsh_max_general(np.diag([1.0, 1.0, -1.0]))
+        assert value == pytest.approx(CHSH_QUANTUM_BOUND, abs=1e-14)
 
     def test_frozen_thermal_value(self):
-        res = chsh_max_general(correlations(CouplingParams(3.0, 1.0)).matrix())
-        assert res.value == pytest.approx(B31, abs=1e-13)
-        assert not res.violating
+        value = chsh_max_general(correlation_matrix(CouplingParams(3.0, 1.0)))
+        assert value == pytest.approx(B31, abs=1e-13)
+        assert value < CHSH_CLASSICAL_BOUND
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -70,42 +81,34 @@ class TestChshGeneral:
                 [0.0, 0.0, 1.0],
             ]
         )
-        a = chsh_max_general(c).value
-        b = chsh_max_general(rot @ c @ rot.T).value
+        a = chsh_max_general(c)
+        b = chsh_max_general(rot @ c @ rot.T)
         assert a == pytest.approx(b, abs=1e-13)
 
 
 class TestChshClosedForm:
     def test_uncorrelated(self):
-        res = chsh_max(CouplingParams(0.0, 0.0))
-        assert res.value == 0.0 and not res.violating
+        assert chsh(CouplingParams(0.0, 0.0)) == 0.0
 
     def test_frozen_thermal_value(self):
-        assert chsh_max(CouplingParams(3.0, 1.0)).value == pytest.approx(
-            B31, abs=1e-14
-        )
+        assert chsh(CouplingParams(3.0, 1.0)) == pytest.approx(B31, abs=1e-14)
 
     def test_deep_ground_state_approaches_bound(self):
-        res = chsh_max(CouplingParams(30.0, 0.0))
-        assert abs(res.value - CHSH_QUANTUM_BOUND) < 1e-3
-        assert res.violating
+        _, _, value, _, _, _, _, region = core.evaluate_one(30.0, 0.0)
+        assert abs(value - CHSH_QUANTUM_BOUND) < 1e-3
+        assert core.REGIONS[region] is Region.NONLOCAL
 
     def test_agrees_with_general_route(self):
         rng = np.random.default_rng(51)
         for _ in range(100):
             p = random_params(rng)
-            closed = chsh_max(p).value
-            general = chsh_max_general(correlations(p).matrix()).value
-            assert abs(closed - general) < 1e-12
+            general = chsh_max_general(correlation_matrix(p))
+            assert abs(chsh(p) - general) < 1e-12
 
     def test_drops_smallest_component(self):
-        c = CorrelationTriple(0.6, 0.3, -0.1)
+        # 2 sqrt of the two largest c_i^2: the closed form the core uses
         expected = 2.0 * math.sqrt(0.6 ** 2 + 0.3 ** 2)
-        assert chsh_from_correlations(c).value == pytest.approx(expected, abs=1e-15)
-
-    def test_result_range_guard(self):
-        with pytest.raises(ValueError):
-            ChshResult(value=3.0, violating=True)
+        assert chsh_max_general(np.diag([0.6, 0.3, -0.1])) == pytest.approx(expected, abs=1e-15)
 
 
 class TestNegativity:
@@ -139,35 +142,35 @@ class TestNegativity:
 
 class TestNegativityBellDiagonal:
     def test_uniform_weights(self):
-        assert negativity_bell_diagonal(spectrum(CouplingParams(0.0, 0.0))) == 0.0
+        assert closed_negativity(CouplingParams(0.0, 0.0)) == 0.0
 
     def test_pure_bell_weight(self):
-        sd = SpectralData.from_weights([0.0, 0.0, 1.0, 0.0])
-        assert negativity_bell_diagonal(sd) == pytest.approx(0.5)
+        # at the edge of the envelope the Psi+ weight rounds to exactly 1
+        p = CouplingParams(2000.0, 0.0)
+        assert core.weights(p.u, p.v)[0][BellLabel.PSI_PLUS] == 1.0
+        assert closed_negativity(p) == 0.5
 
     def test_frozen_thermal_value(self):
-        sd = spectrum(CouplingParams(3.0, 1.0))
-        assert negativity_bell_diagonal(sd) == pytest.approx(N31, abs=1e-14)
+        p = CouplingParams(3.0, 1.0)
+        assert closed_negativity(p) == pytest.approx(N31, abs=1e-14)
         # the closed form is exactly max weight - 1/2 here
-        assert negativity_bell_diagonal(sd) == pytest.approx(
-            sd.weight(BellLabel.PSI_PLUS) - 0.5, abs=1e-15
+        assert closed_negativity(p) == pytest.approx(
+            core.weights(p.u, p.v)[0][BellLabel.PSI_PLUS] - 0.5, abs=1e-15
         )
 
     def test_agrees_with_definition(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
             p = random_params(rng)
-            closed = negativity_bell_diagonal(spectrum(p))
             full = negativity(thermal_state(p)).value
-            assert abs(closed - full) < 1e-12
+            assert abs(closed_negativity(p) - full) < 1e-12
 
     def test_partial_transpose_spectrum_is_half_minus_weights(self):
         rng = np.random.default_rng(54)
         for _ in range(50):
             p = random_params(rng)
-            sd = spectrum(p)
             evals = negativity(thermal_state(p)).pt_eigenvalues
-            expected = np.sort(0.5 - sd.weights)
+            expected = np.sort(0.5 - core.weights(p.u, p.v)[0])
             np.testing.assert_allclose(evals, expected, atol=1e-13)
 
 
@@ -176,14 +179,12 @@ class TestPhysicalRelations:
         rng = np.random.default_rng(55)
         for _ in range(200):
             p = random_params(rng, scale=12.0)
-            if chsh_max(p).violating:
-                assert negativity_bell_diagonal(spectrum(p)) > 1e-12
+            if chsh(p) > CHSH_CLASSICAL_BOUND:
+                assert closed_negativity(p) > 1e-12
 
     def test_values_in_range(self):
         rng = np.random.default_rng(56)
         for _ in range(200):
             p = random_params(rng, scale=12.0)
-            b = chsh_max(p).value
-            n = negativity_bell_diagonal(spectrum(p))
-            assert 0.0 <= b <= CHSH_QUANTUM_BOUND + 1e-12
-            assert 0.0 <= n <= 0.5
+            assert 0.0 <= chsh(p) <= CHSH_QUANTUM_BOUND + 1e-12
+            assert 0.0 <= closed_negativity(p) <= 0.5

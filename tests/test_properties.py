@@ -1,14 +1,14 @@
 """Property-based tests of the invariants the array core and the contour
-tracer must keep: bit equality of the core over a batch, and of its scalar twin
-behind `evaluate_point`, with the scalar route `reference.scalar_record`, whose
-validating dataclasses check the derived invariants on the core's exact
-values (weights a probability vector that never rises with energy,
-correlations in the Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelities in
-[1/3, 1]); `scan` and `dominant` rows equal to the repr of the scalar
-route's values; Psi-minus never dominant; lockstep bisection equal to
+tracer must keep: bit equality of the core over a batch, and of the boundary
+fields, with its scalar twin behind `evaluate_point`; the derived invariants
+on the exact values of both (weights a probability vector that never rises
+with energy, correlations in the Bell tetrahedron, CHSH in [0, 2 sqrt 2],
+fidelity in [1/3, 1]); `scan` and `dominant` rows equal to the repr of the
+scalar twin's values; Psi-minus never dominant; lockstep bisection equal to
 bracket-by-bracket bisection; the v -> -v parity of the phase plane; the
-region partition; and contour roots that sit on grid edges, one per crossed
-edge and each closed loop once, with residuals below the tolerance.
+region partition, with CHSH violation as the dense oracle finds it; and
+contour roots that sit on grid edges, one per crossed edge and each closed
+loop once, with residuals below the tolerance.
 
 Runs are derandomized, so the suite draws the same examples every time.
 """
@@ -19,11 +19,12 @@ from dipolepair import core
 from dipolepair.core import (
     CHSH_BOUNDARY_TOL,
     CHSH_CLASSICAL_BOUND,
+    CHSH_QUANTUM_BOUND,
     COUPLING_LIMIT,
     BellLabel,
     CouplingParams,
 )
-from dipolepair.reference import chsh_max, scalar_record, spectrum
+from dipolepair.reference import chsh_max_general, fano_marginals, thermal_state
 from dipolepair.scan import (
     DEFAULT_ROOT_TOL,
     BoundaryQuantity,
@@ -66,16 +67,15 @@ def bits(x) -> np.ndarray:
 @example([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
 def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
     u, v = np.array(pts).T
-    records = [scalar_record(CouplingParams(a, b)) for a, b in pts]
-    # evaluate_point reads the core's scalar twin; the fields below read the
-    # core on a batch
-    at_one = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
-    assert at_one == records
-    np.testing.assert_array_equal(bits([[getattr(r, f) for f in FLOATS] for r in at_one]),
-                                  bits([[getattr(r, f) for f in FLOATS] for r in records]))
-    # so SpectralData's checks on the scalar weights hold for the core's
-    np.testing.assert_array_equal(
-        bits(core.weights(u, v)), bits([spectrum(CouplingParams(a, b)).weights for a, b in pts]))
+    # evaluate_point reads the core's scalar twin; the batch and the fields
+    # below read the core
+    records = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
+    at_one = np.array([[getattr(r, f) for f in FLOATS] for r in records]).T
+    batch = core.evaluate(u, v)
+    columns = [getattr(batch, f) for f in FLOATS]
+    np.testing.assert_array_equal(bits(at_one), bits(columns))
+    assert [r.dominant_label for r in records] == [core.LABELS[d] for d in batch.dominant]
+    assert [r.region for r in records] == [core.REGIONS[k] for k in batch.region]
     expected = {
         BoundaryQuantity.CHSH_MINUS_2: [r.chsh - 2.0 for r in records],
         BoundaryQuantity.NEGATIVITY: [r.dominant_weight - 0.5 for r in records],
@@ -86,6 +86,32 @@ def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
         np.testing.assert_array_equal(bits(field(u, v)), bits(want))
         scalar = field(*pts[0])
         assert type(scalar) is float and bits(scalar) == bits(want[0])
+
+    # the core checks only its inputs; the closed forms guarantee the rest,
+    # asserted here on the exact values of the core and its scalar twin.
+    # Weights: finite, in [0, 1], summing to 1, never rising with energy
+    w = core.weights(u, v)
+    assert np.all(np.isfinite(w)) and np.all((w >= 0.0) & (w <= 1.0))
+    assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
+    energies = np.column_stack(((u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0, 0.0 * u))
+    by_energy = np.take_along_axis(w, np.argsort(energies, axis=1, kind="stable"), axis=1)
+    assert np.all(np.diff(by_energy, axis=1) <= 1e-12)
+    # correlations inside the Bell tetrahedron, whose vertices are the Bell
+    # states: each in [-1, 1], and the Bell weights they imply non-negative
+    pp, pm, sp, sm = w.T
+    c1, c2, c3 = pp - pm + sp - sm, -pp + pm + sp - sm, pp + pm - sp - sm
+    assert np.all(np.abs([c1, c2, c3]) <= 1.0 + 1e-12)
+    implied = np.array([1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3]) / 4
+    assert np.all(implied >= -1e-12)
+    # the dominant weight is the first maximum, the fidelity the best of the
+    # four seeds; CHSH, negativity and fidelity stay in their ranges
+    np.testing.assert_array_equal(batch.dominant, np.argmax(w, axis=1))
+    np.testing.assert_array_equal(batch.dominant_weight, w.max(axis=1))
+    np.testing.assert_array_equal(batch.fidelity, np.max((1.0 + 2.0 * w) / 3.0, axis=1))
+    for _, _, chsh, negativity, fidelity, _ in (at_one, columns):
+        assert np.all((chsh >= 0.0) & (chsh <= CHSH_QUANTUM_BOUND + 1e-12))
+        assert np.all((negativity >= 0.0) & (negativity <= 0.5))
+        assert np.all((fidelity >= 1.0 / 3.0 - 1e-12) & (fidelity <= 1.0 + 1e-12))
 
 
 # repeated points, and 0.0 beside -0.0 in one column: a formatter that
@@ -100,7 +126,7 @@ SIGNED_ZEROS = [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (0.0, 1.0)]
 @example(AXES + AXES)
 def test_scan_and_dominant_rows_are_the_repr_of_the_scalar_route(pts):
     u, v = np.array(pts).T
-    records = [scalar_record(CouplingParams(a, b)) for a, b in pts]
+    records = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
     for normalized in (False, True):
         rows = list(scan_rows([core.evaluate(u, v)], normalized))
         assert rows[1:] == [
@@ -184,7 +210,7 @@ scaled_points = st.lists(st.tuples(scaled, scaled), min_size=1, max_size=40)
 def test_region_partition(pts):
     u, v = np.array(pts).T
     arrays = core.evaluate(u, v)
-    records = [scalar_record(CouplingParams(a, b)) for a, b in pts]
+    records = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
     for k, r in enumerate(records):
         separable = r.negativity < core.SEPARABLE_NEGATIVITY_TOL
         violating = r.chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL
@@ -208,9 +234,13 @@ def test_psi_minus_is_never_dominant(pts):
 @SETTINGS
 @given(scaled_points)
 def test_chsh_violation_is_the_nonlocal_region(pts):
+    # CHSH of the dense thermal state's correlation matrix, by the general
+    # route; points within 1e-9 of the bound are left to the region rules
     for a, b in pts:
         p = CouplingParams(a, b)
-        assert chsh_max(p).violating == (evaluate_point(p).region is Region.NONLOCAL)
+        dense = chsh_max_general(fano_marginals(thermal_state(p))[2])
+        if abs(dense - CHSH_CLASSICAL_BOUND) > 1e-9:
+            assert (dense > CHSH_CLASSICAL_BOUND) == (evaluate_point(p).region is Region.NONLOCAL)
 
 
 # grids within |u|, |v| <= 60, each axis at least 1e-3 wide

@@ -6,7 +6,6 @@ import pytest
 
 from dipolepair import core
 from dipolepair.core import BellLabel, CouplingParams
-from dipolepair.reference import scalar_record, spectrum
 from dipolepair.scan import (
     GRID_POINT_LIMIT,
     BoundaryQuantity,
@@ -62,6 +61,10 @@ class TestGridSpec:
             GridSpec(-3000.0, 0.0, 0.0, 1.0, 3, 3)
         with pytest.raises(ValueError, match="stability limit"):
             GridSpec(0.0, 1.0, 0.0, 2000.5, 3, 3)
+        # finite bounds whose axis step overflows: rejected as bounds, by
+        # their own size, before any axis arithmetic can warn
+        with pytest.raises(ValueError, match=r"^\|u_min\| = 1\.7e\+308 exceeds the stability"):
+            GridSpec(-1.7e308, 1.7e308, 0.0, 1.0, 2, 2)
         # the last u coordinate of this axis rounds an ulp past 2000
         with pytest.raises(ValueError, match="stability limit"):
             GridSpec(-2000.0, 2000.0, 0.0, 1.0, 16, 2)
@@ -132,7 +135,7 @@ class TestScanGrid:
         ]
         for g in grids:
             for rec in scan_grid(g):
-                assert rec == scalar_record(CouplingParams(rec.u, rec.v))
+                assert rec == evaluate_point(CouplingParams(rec.u, rec.v))
 
     def test_v_parity_of_reported_measures(self):
         # u fixed, v -> -v leaves chsh, negativity and fidelity unchanged
@@ -162,9 +165,8 @@ class TestDominantMap:
     def test_weights_match_spectrum(self):
         g = GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5)
         for u, v, label, weight in dominant_map(g):
-            sd = spectrum(CouplingParams(u, v))
-            assert weight == sd.weight(label)
-            assert weight == float(sd.weights.max())
+            w = core.weights(u, v)[0]
+            assert weight == w[label] == w.max()
 
 
 class TestBisection:
@@ -195,8 +197,7 @@ class TestBisection:
         root = bisect_root(f, 2.0, 3.0, f(2.0), f(3.0))
         assert root == pytest.approx(U_STAR_V1, abs=1e-12)
         # max weight passes through 1/2 there
-        sd = spectrum(CouplingParams(root, 1.0))
-        assert float(sd.weights.max()) == pytest.approx(0.5, abs=1e-12)
+        assert float(core.weights(root, 1.0).max()) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBoundaryFields:

@@ -1,6 +1,6 @@
 """Tests for the teleportation channel and its fidelities: the closed-form
-fidelities of the scalar route in `reference` against its channel
-arithmetic and sphere quadrature.
+fidelity of `core` against the channel arithmetic and sphere quadrature of
+`reference`.
 
 Frozen numbers were produced by a direct matrix-arithmetic oracle
 (explicit Kraus conjugations and a 400 x 400 dense sphere quadrature)
@@ -11,15 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from dipolepair.core import BellLabel, CouplingParams
+from dipolepair import core
+from dipolepair.core import BellLabel
 from dipolepair.reference import (
     BlochAngles,
-    FidelityReport,
-    SpectralData,
-    average_fidelity,
     average_fidelity_quadrature,
     bell_state,
-    best_fidelity,
     channel_output,
     channel_state,
     fidelity_pointwise,
@@ -27,7 +24,6 @@ from dipolepair.reference import (
     pauli,
     pauli_conjugation,
     projector,
-    spectrum,
 )
 
 F31 = 0.689631096925682
@@ -48,8 +44,22 @@ SEED_RELABELING = {
 }
 
 
+PURE_PSI_PLUS = [0.0, 0.0, 1.0, 0.0]
+
+
 def random_weights(rng):
-    return SpectralData.from_weights(rng.dirichlet(np.ones(4)))
+    return rng.dirichlet(np.ones(4))
+
+
+def weights(u, v):
+    return core.weights(u, v)[0]
+
+
+def fidelity_and_seed(u, v):
+    """The core's best average fidelity and the seed (dominant label) that
+    reaches it."""
+    _, _, _, _, fidelity, label, _, _ = core.evaluate_one(u, v)
+    return fidelity, BellLabel(label)
 
 
 def bloch_vector(rho):
@@ -106,31 +116,26 @@ class TestChannelState:
     def test_matches_weighted_projectors(self):
         rng = np.random.default_rng(63)
         for _ in range(10):
-            sd = random_weights(rng)
-            expected = sum(
-                sd.weight(label) * projector(bell_state(label)) for label in BellLabel
-            )
-            np.testing.assert_allclose(channel_state(sd), expected, atol=1e-15)
+            w = random_weights(rng)
+            expected = sum(w[label] * projector(bell_state(label)) for label in BellLabel)
+            np.testing.assert_allclose(channel_state(w), expected, atol=1e-15)
 
 
 class TestChannelOutput:
     def test_pure_resource_teleports_exactly(self):
-        sd = SpectralData.from_weights([0.0, 0.0, 1.0, 0.0])
         rng = np.random.default_rng(64)
         for _ in range(20):
             ang = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            out = channel_output(sd, BellLabel.PSI_PLUS, ang)
+            out = channel_output(PURE_PSI_PLUS, BellLabel.PSI_PLUS, ang)
             np.testing.assert_allclose(out, ang.density(), atol=1e-14)
 
     def test_uniform_resource_depolarizes(self):
-        sd = spectrum(CouplingParams(0.0, 0.0))
-        out = channel_output(sd, BellLabel.PSI_PLUS, BlochAngles(1.0, 2.0))
+        out = channel_output(weights(0.0, 0.0), BellLabel.PSI_PLUS, BlochAngles(1.0, 2.0))
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-15)
 
     def test_frozen_equatorial_output(self):
-        sd = spectrum(CouplingParams(3.0, 1.0))
         ang = BlochAngles(math.pi / 2, 0.0)
-        out = channel_output(sd, BellLabel.PSI_PLUS, ang)
+        out = channel_output(weights(3.0, 1.0), BellLabel.PSI_PLUS, ang)
         assert bloch_vector(out)[0] == pytest.approx(BLOCHX31, abs=1e-13)
         assert fidelity_pointwise(ang, out) == pytest.approx(FPOINT31, abs=1e-13)
 
@@ -139,19 +144,21 @@ class TestChannelOutput:
         # l_j = 2 (q_0 + q_j) - 1 and q_mu the relabeled seed weights
         rng = np.random.default_rng(65)
         for _ in range(100):
-            sd = random_weights(rng)
+            w = random_weights(rng)
             for k0, relabeled in SEED_RELABELING.items():
-                q = np.array([sd.weight(label) for label in relabeled])
+                q = w[list(relabeled)]
                 lam = 2.0 * (q[0] + q[1:]) - 1.0
                 ang = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-                out = channel_output(sd, k0, ang)
+                out = channel_output(w, k0, ang)
                 np.testing.assert_allclose(
                     bloch_vector(out), lam * ang.unit_vector(), atol=1e-12
                 )
 
     def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            SpectralData.from_weights([0.7, 0.5, -0.2, 0.0])
+        # a negative weight, one too few, and a sum other than 1
+        for w in ([0.7, 0.5, -0.2, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.3, 0.3]):
+            with pytest.raises(ValueError):
+                channel_output(w, BellLabel.PSI_PLUS, BlochAngles(1.0, 2.0))
 
 
 class TestFidelityPointwise:
@@ -169,105 +176,88 @@ class TestFidelityPointwise:
 
 class TestAverageFidelity:
     def test_pure_resource(self):
-        sd = SpectralData.from_weights([0.0, 0.0, 1.0, 0.0])
-        assert average_fidelity(sd, BellLabel.PSI_PLUS) == pytest.approx(1.0)
+        # Psi+ carries all the weight at the edge of the envelope
+        assert fidelity_and_seed(2000.0, 0.0) == (1.0, BellLabel.PSI_PLUS)
 
     def test_uniform_resource(self):
-        sd = spectrum(CouplingParams(0.0, 0.0))
-        assert average_fidelity(sd, BellLabel.PSI_PLUS) == pytest.approx(0.5)
+        assert fidelity_and_seed(0.0, 0.0)[0] == pytest.approx(0.5)
 
     def test_frozen_thermal_value(self):
-        sd = spectrum(CouplingParams(3.0, 1.0))
-        assert average_fidelity(sd, BellLabel.PSI_PLUS) == pytest.approx(
-            F31, abs=1e-14
-        )
+        assert fidelity_and_seed(3.0, 1.0)[0] == pytest.approx(F31, abs=1e-14)
 
     def test_affine_in_seed_weight(self):
+        # the sphere average is (1 + 2 p_k0)/3 for every seed k0
         rng = np.random.default_rng(66)
         for _ in range(50):
-            sd = random_weights(rng)
+            w = random_weights(rng)
             for label in BellLabel:
-                f = average_fidelity(sd, label)
-                assert f == pytest.approx((1.0 + 2.0 * sd.weight(label)) / 3.0)
-                assert 1.0 / 3.0 - 1e-15 <= f <= 1.0 + 1e-15
+                f = average_fidelity_quadrature(w, label, 2)
+                assert f == pytest.approx((1.0 + 2.0 * w[label]) / 3.0, abs=1e-13)
+                assert 1.0 / 3.0 - 1e-13 <= f <= 1.0 + 1e-13
 
 
 class TestQuadrature:
     def test_exact_at_minimal_order(self):
-        sd = spectrum(CouplingParams(3.0, 1.0))
-        q = average_fidelity_quadrature(sd, BellLabel.PSI_PLUS, 2)
+        q = average_fidelity_quadrature(weights(3.0, 1.0), BellLabel.PSI_PLUS, 2)
         assert q == pytest.approx(F31, abs=1e-12)
 
     def test_uniform_resource(self):
-        sd = spectrum(CouplingParams(0.0, 0.0))
-        q = average_fidelity_quadrature(sd, BellLabel.PHI_MINUS, 3)
+        q = average_fidelity_quadrature(weights(0.0, 0.0), BellLabel.PHI_MINUS, 3)
         assert q == pytest.approx(0.5, abs=1e-13)
 
     def test_pure_resource(self):
-        sd = SpectralData.from_weights([1.0, 0.0, 0.0, 0.0])
-        q = average_fidelity_quadrature(sd, BellLabel.PHI_PLUS, 2)
+        q = average_fidelity_quadrature([1.0, 0.0, 0.0, 0.0], BellLabel.PHI_PLUS, 2)
         assert q == pytest.approx(1.0, abs=1e-13)
 
     def test_order_insensitive_once_exact(self):
-        sd = spectrum(CouplingParams(-2.0, 3.0))
-        a = average_fidelity_quadrature(sd, BellLabel.PHI_PLUS, 2)
-        b = average_fidelity_quadrature(sd, BellLabel.PHI_PLUS, 5)
+        w = weights(-2.0, 3.0)
+        a = average_fidelity_quadrature(w, BellLabel.PHI_PLUS, 2)
+        b = average_fidelity_quadrature(w, BellLabel.PHI_PLUS, 5)
         assert a == pytest.approx(b, abs=1e-13)
 
     def test_insufficient_order_rejected(self):
-        sd = spectrum(CouplingParams(1.0, 1.0))
         with pytest.raises(ValueError, match="order"):
-            average_fidelity_quadrature(sd, BellLabel.PSI_PLUS, 1)
+            average_fidelity_quadrature(weights(1.0, 1.0), BellLabel.PSI_PLUS, 1)
 
 
 class TestBestFidelity:
     def test_frozen_thermal_report(self):
-        rep = best_fidelity(spectrum(CouplingParams(3.0, 1.0)))
-        assert rep.best_label is BellLabel.PSI_PLUS
-        assert rep.best == pytest.approx(F31, abs=1e-14)
-        assert rep.above_classical
+        best, seed = fidelity_and_seed(3.0, 1.0)
+        assert seed is BellLabel.PSI_PLUS
+        assert best == pytest.approx(F31, abs=1e-14)
+        assert best > minimum_fidelity(2)
 
     def test_degenerate_doublet_stays_classical(self):
-        rep = best_fidelity(spectrum(CouplingParams(-6.0, 0.0)))
-        assert rep.best == pytest.approx(BEST_MINUS6, abs=1e-14)
-        assert not rep.above_classical
-        assert rep.best_label is BellLabel.PHI_PLUS  # tie falls to canonical order
+        best, seed = fidelity_and_seed(-6.0, 0.0)
+        assert best == pytest.approx(BEST_MINUS6, abs=1e-14)
+        assert best < minimum_fidelity(2)
+        assert seed is BellLabel.PHI_PLUS  # tie falls to canonical order
 
     def test_uniform_resource_tie(self):
-        rep = best_fidelity(spectrum(CouplingParams(0.0, 0.0)))
-        assert rep.best == pytest.approx(0.5)
-        assert rep.best_label is BellLabel.PHI_PLUS
-        assert not rep.above_classical
+        best, seed = fidelity_and_seed(0.0, 0.0)
+        assert best == pytest.approx(0.5)
+        assert seed is BellLabel.PHI_PLUS
+        assert best < minimum_fidelity(2)
 
     def test_best_is_max_over_all_seeds(self):
+        # the core's fidelity is the best of the four seeds' sphere averages,
+        # reached at its dominant label
         rng = np.random.default_rng(67)
         for _ in range(100):
-            sd = random_weights(rng)
-            rep = best_fidelity(sd)
-            np.testing.assert_allclose(
-                rep.fidelities,
-                [average_fidelity(sd, label) for label in BellLabel],
-            )
-            assert rep.best == float(np.max(rep.fidelities))
+            u, v = rng.uniform(-12.0, 12.0, 2).tolist()
+            best, seed = fidelity_and_seed(u, v)
+            quads = [average_fidelity_quadrature(weights(u, v), label, 2) for label in BellLabel]
+            assert best == pytest.approx(max(quads), abs=1e-13)
+            assert quads[seed] == max(quads)
 
     def test_affine_link_to_max_weight(self):
-        # best - 2/3 = (2/3) (max_a p_a - 1/2) for any Bell-diagonal resource
+        # best - 2/3 = (2/3) (max_a p_a - 1/2) for the thermal resource
         rng = np.random.default_rng(68)
         for _ in range(100):
-            sd = random_weights(rng)
-            rep = best_fidelity(sd)
-            lhs = rep.best - 2.0 / 3.0
-            rhs = (2.0 / 3.0) * (float(np.max(sd.weights)) - 0.5)
+            u, v = rng.uniform(-12.0, 12.0, 2).tolist()
+            lhs = fidelity_and_seed(u, v)[0] - 2.0 / 3.0
+            rhs = (2.0 / 3.0) * (float(np.max(weights(u, v))) - 0.5)
             assert abs(lhs - rhs) <= 1e-14
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            FidelityReport(
-                fidelities=np.array([0.2, 0.5, 0.5, 0.5]),
-                best=0.5,
-                best_label=BellLabel.PHI_MINUS,
-                above_classical=False,
-            )
 
 
 class TestMinimumFidelity:
