@@ -12,6 +12,10 @@ columns.
 The +-2000 grid reaches the envelope where Boltzmann weights underflow; both
 grids contain the u = 0 and v = 0 tie lines, and both hold roots of all
 three boundary quantities.
+The exponent-notation grid and the subnormal `point` were pinned before
+floats came to be formatted from vectorised shortest round-trip digits:
+its coordinates lie on both sides of repr's switch to exponent notation
+at 1e-4, and its `chsh` column is written in exponent notation.
 """
 import hashlib
 
@@ -22,6 +26,7 @@ from dipolepair.cli import run_cli
 
 ENVELOPE = ["--u", "-2000:2000:41", "--v", "-2000:2000:41"]
 LOCAL = ["--u", "-12:12:49", "--v", "-12:12:49"]
+TINY = ["--u", "-1e-4:1e-4:5", "--v", "0:1e-300:3"]
 
 GOLDEN = [
     (["scan", *ENVELOPE],
@@ -55,6 +60,13 @@ GOLDEN = [
     # the signed zero of u must survive into the row
     (["point", "--u", "-0.0", "--v", "0"],
      "9bf15e89a559394f8d4ef48e744da9cbd43dedb05e565d65a719f227078a9108"),
+    (["scan", *TINY],
+     "3260c9638c25f8f0d31bcf7ebd7366a6184ba08b0d61de613981c59cacc4e8ea"),
+    (["dominant", *TINY],
+     "dbfe3caf780741774cd85169125a19310ce4f01f053c13fb5ab518d496e46fb4"),
+    # subnormal coordinates
+    (["point", "--u", "5e-324", "--v", "-1e-310"],
+     "c9dd601a04eaf4855351b2d93680b174f91c847e16fa6d85dea7386d28b1e91b"),
 ]
 
 
