@@ -104,12 +104,12 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
     return GridSpec(u_min=u_min, u_max=u_max, v_min=v_min, v_max=v_max, nu=nu, nv=nv)
 
 
-def _emit(lines: Iterable[str], out_path: str | None) -> None:
-    """Write CSV lines as they are produced.  A file is written under a
-    temporary name beside it and renamed into place only once complete, so
-    a failure part-way leaves any earlier file untouched.  Links in
-    `out_path` are resolved by the caller, so a link's target is replaced."""
-    text = (f"{line}\n" for line in lines)
+def _emit(text: Iterable[str], out_path: str | None) -> None:
+    """Write CSV text, newline-terminated chunks as they are produced.  A
+    file is written under a temporary name beside it and renamed into place
+    only once complete, so a failure part-way leaves any earlier file
+    untouched.  Links in `out_path` are resolved by the caller, so a link's
+    target is replaced."""
     if out_path is None:
         sys.stdout.writelines(text)
         return
@@ -163,18 +163,18 @@ def run_cli(argv: list[str] | None = None) -> int:
                 raise OSError("not a file name")
         if args.command == "point":
             p = core.CouplingParams(args.u, args.v)
-            lines = scan_rows([core.evaluate(p.u, p.v)], args.normalized_negativity)
+            text = scan_rows([core.evaluate(p.u, p.v)], args.normalized_negativity)
         elif args.command == "scan":
-            lines = scan_rows(evaluate_grid(_grid_from_args(args)),
-                              args.normalized_negativity)
+            text = scan_rows(evaluate_grid(_grid_from_args(args)),
+                             args.normalized_negativity)
         elif args.command == "boundary":
             polylines = trace_boundary(
                 BoundaryQuantity(args.quantity), _grid_from_args(args), tol=args.tol
             )
-            lines = boundary_rows(polylines)
+            text = boundary_rows(polylines)
         elif args.command == "dominant":
-            lines = dominant_rows(evaluate_grid(_grid_from_args(args)))
-        _emit(lines, target)
+            text = dominant_rows(evaluate_grid(_grid_from_args(args)))
+        _emit(text, target)
     except GridTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import core
+from . import core, shortest
 from .core import COUPLING_LIMIT, BellLabel, CouplingParams, Region
 
 GRID_POINT_LIMIT = 10 ** 8
@@ -177,14 +177,16 @@ def _field_values(quantity: BoundaryQuantity, p: core.PhaseArrays) -> np.ndarray
 
 
 def boundary_field(quantity: BoundaryQuantity) -> Callable:
-    """Signed field whose zero set is the requested boundary, read from the
-    array core; it takes u, v as floats (giving a float) or arrays."""
+    """Signed field whose zero set is the requested boundary; it takes u, v
+    as floats (giving a float, from the core's scalar twin) or arrays
+    (giving an array, from the array core), equal to the bit."""
     quantity = BoundaryQuantity(quantity)
 
     def field(u, v):
+        if np.ndim(u) == 0 and np.ndim(v) == 0:
+            return _field_values(quantity, core.PhaseArrays(*core.evaluate_one(u, v)))
         values = _field_values(quantity, core.evaluate(u, v))
-        values = values.reshape(np.broadcast_shapes(np.shape(u), np.shape(v)))
-        return float(values) if values.ndim == 0 else values
+        return values.reshape(np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     return field
 
@@ -316,52 +318,91 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     return polylines
 
 
-# Floats are written with repr, the shortest decimal string that round-trips
-# the double, column by column from each block
+# Floats are written as repr writes them, the shortest decimal string that
+# round-trips the double.  `shortest.reprs` formats whole columns into
+# NUL-padded byte rows; the rows of a slice are joined as one byte matrix
+# and the NULs dropped, so each slice becomes one text chunk.  At about 170
+# bytes per row, a slice's matrix stays under 1 MB.
+SLICE_ROWS = 1 << 12
+
+
+def _byte_table(texts: list[str]) -> np.ndarray:
+    """One NUL-padded uint8 row per text."""
+    table = np.array([t.encode("ascii") for t in texts])
+    return table.view(np.uint8).reshape(len(texts), -1)
+
+
+_COMMA = _byte_table([","])
+_NEWLINE = _byte_table(["\n"])
 _LABEL_NAMES = [label.name.lower() for label in core.LABELS]
-# "label,region" for index dominant * len(REGIONS) + region
-_SUFFIXES = [f"{name},{region.value}" for name in _LABEL_NAMES for region in core.REGIONS]
+# ",label," by dominant
+_LABELS = _byte_table([f",{name}," for name in _LABEL_NAMES])
+# ",label,region\n" by dominant * len(REGIONS) + region
+_SUFFIXES = _byte_table([f",{name},{region.value}\n" for name in _LABEL_NAMES
+                         for region in core.REGIONS])
 
 
-def _reprs(column: np.ndarray) -> list[str]:
-    """repr of each entry of a float column, called once per distinct double
-    and shared by the entries that hold it; meant for the u and v columns,
-    which repeat each axis coordinate.  Doubles are told apart by their
-    bits, so 0.0 and -0.0 keep their own text."""
-    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+def _reprs(u: np.ndarray, v: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+    """`shortest.reprs` of each column, from one call for the numpy
+    overhead's sake.  u and v repeat each axis coordinate, so they are
+    formatted once per distinct double and trimmed to the padding their
+    values need; doubles are told apart by their bits, so 0.0 and -0.0
+    keep their own text."""
+    distinct = [np.unique(c.view(np.int64), return_inverse=True) for c in (u, v)]
+    parts = [keys.view(np.float64) for keys, _ in distinct] + list(columns)
+    texts = np.split(shortest.reprs(np.concatenate(parts)),
+                     np.cumsum([p.size for p in parts[:-1]]))
+    for i, (_, inverse) in enumerate(distinct):
+        texts[i] = texts[i][:, int(texts[i].any(axis=0).argmax()):][inverse]
+    return texts
+
+
+def _chunk(fields: list[np.ndarray]) -> str:
+    """The rows made of byte fields side by side, as one text; a field
+    with one row is repeated on every row."""
+    rows = np.empty((max(map(len, fields)), sum(f.shape[1] for f in fields)), np.uint8)
+    at = 0
+    for f in fields:
+        rows[:, at:at + f.shape[1]] = f
+        at += f.shape[1]
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def scan_rows(blocks: Iterable[core.PhaseArrays],
               normalized_negativity: bool = False) -> Iterator[str]:
-    """CSV lines for evaluated core blocks, one row per point in block
-    order; negativity optionally doubled so a maximally entangled state
-    reads 1 instead of 1/2."""
-    yield SCAN_HEADER
+    """CSV text for evaluated core blocks, one row per point in block order:
+    the header line, then one chunk of newline-terminated rows per slice of
+    up to SLICE_ROWS points.  Negativity is optionally doubled so a
+    maximally entangled state reads 1 instead of 1/2."""
+    yield SCAN_HEADER + "\n"
     for b in blocks:
         neg = 2.0 * b.negativity if normalized_negativity else b.negativity
-        suffixes = map(_SUFFIXES.__getitem__,
-                       (b.dominant * len(core.REGIONS) + b.region).tolist())
-        columns = (b.chsh, neg, b.fidelity, b.dominant_weight)
-        for row in zip(_reprs(b.u), _reprs(b.v), *(map(repr, c.tolist()) for c in columns),
-                       suffixes):
-            yield ",".join(row)
+        for at in range(0, b.u.size, SLICE_ROWS):
+            s = slice(at, at + SLICE_ROWS)
+            u, v, chsh, negativity, fidelity, weight = _reprs(
+                b.u[s], b.v[s], b.chsh[s], neg[s], b.fidelity[s], b.dominant_weight[s])
+            yield _chunk([u, _COMMA, v, _COMMA, chsh, _COMMA, negativity, _COMMA, fidelity,
+                          _COMMA, weight,
+                          _SUFFIXES[b.dominant[s] * len(core.REGIONS) + b.region[s]]])
 
 
 def boundary_rows(polylines: Iterable[ContourPolyline]) -> Iterator[str]:
-    """CSV lines for traced contours, one row per point."""
-    yield BOUNDARY_HEADER
+    """CSV lines for traced contours, one newline-terminated row per point.
+    Floats go through repr: a trace has far fewer roots than its grid has
+    points, too few to pay for the tables of `shortest`."""
+    yield BOUNDARY_HEADER + "\n"
     for contour_id, poly in enumerate(polylines):
         for u, v in poly.points:
-            yield f"{contour_id},{u!r},{v!r}"
+            yield f"{contour_id},{u!r},{v!r}\n"
 
 
 def dominant_rows(blocks: Iterable[core.PhaseArrays]) -> Iterator[str]:
-    """CSV lines of the dominant-component map for evaluated core blocks,
-    one row per point in block order."""
-    yield DOMINANT_HEADER
+    """CSV text of the dominant-component map for evaluated core blocks,
+    one row per point in block order: the header line, then one chunk of
+    newline-terminated rows per slice of up to SLICE_ROWS points."""
+    yield DOMINANT_HEADER + "\n"
     for b in blocks:
-        for u, v, d, w in zip(_reprs(b.u), _reprs(b.v), b.dominant.tolist(),
-                              map(repr, b.dominant_weight.tolist())):
-            yield f"{u},{v},{_LABEL_NAMES[d]},{w}"
+        for at in range(0, b.u.size, SLICE_ROWS):
+            s = slice(at, at + SLICE_ROWS)
+            u, v, weight = _reprs(b.u[s], b.v[s], b.dominant_weight[s])
+            yield _chunk([u, _COMMA, v, _LABELS[b.dominant[s]], weight, _NEWLINE])

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dipolepair import core
 from dipolepair.cli import run_cli
@@ -269,3 +270,67 @@ class TestUsage:
             runpy.run_module("dipolepair", run_name="__main__", alter_sys=True)
         assert exc.value.code == 0
         assert capsys.readouterr().out == expected
+
+
+# numbers at the edges of what the CLI parses: signed zeros, non-finite
+# values, the float range, a subnormal, an integer beyond the float range
+# (which parses as inf), and the stability envelope; all well formed, so
+# every failure is the program's own and not argparse's usage text
+EDGE_NUMBERS = ["0", "-0", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-5e-324",
+                str(10 ** 400), "-2000", "2000", "2000.0000000001", "-3", "0.5", "3"]
+numbers = st.one_of(st.sampled_from(EDGE_NUMBERS),
+                    st.floats(-5.0, 5.0, allow_nan=False).map(repr))
+counts = st.sampled_from([0, 1, 2, 3, 2 ** 63])
+# half the axes are well formed, so that grids run as well as fail
+axes = st.one_of(
+    st.builds("{}:{}:{}".format, numbers, numbers, counts),
+    st.builds(lambda lo, span, n: f"{lo!r}:{lo + span!r}:{n}", st.floats(-5.0, 4.0),
+              st.floats(0.01, 1.0), st.sampled_from([2, 3, 2 ** 63])))
+tolerances = st.one_of(st.just("1e-9"), st.sampled_from(
+    ["0", "-0", "-1e-9", "5e-324", "1e-300", "1e308", "inf", "-inf", "nan"]))
+HEADERS = {"point": "u,v,chsh,", "scan": "u,v,chsh,", "dominant": "u,v,dominant_label,",
+           "boundary": "contour_id,u,v"}
+out_paths = st.one_of(st.sampled_from([None, "out.csv"]), st.sampled_from(
+    ["missing/out.csv", ".", "", "dir/", "dir", "ünï cödé.csv"]))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(HEADERS)))
+    if command == "point":
+        argv = ["point", "--u", draw(numbers), "--v", draw(numbers)]
+    else:
+        argv = [command, "--u", draw(axes), "--v", draw(axes)]
+    if command == "boundary":
+        argv[1:1] = ["--quantity", draw(st.sampled_from(["chsh", "negativity", "fidelity"]))]
+        argv += ["--tol", draw(tolerances)]
+    if command == "scan":
+        argv += draw(st.sampled_from([[], ["--workers", "2"], ["--normalized-negativity"]]))
+    if command == "point":
+        argv += draw(st.sampled_from([[], ["--normalized-negativity"]]))
+    return argv, None if command == "point" else draw(out_paths)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+def test_cli_fuzz_exits_cleanly(tmp_path, capsys, case):
+    argv, out = case
+    (tmp_path / "dir").mkdir(exist_ok=True)
+    if out is not None:
+        argv = argv + ["--out", os.path.join(tmp_path, out)]
+    capsys.readouterr()
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3), argv
+    if code != 0:
+        assert captured.out == "", argv
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), argv
+        return
+    assert captured.err == "", argv
+    text = captured.out
+    if out is not None:
+        assert text == ""
+        with open(os.path.join(tmp_path, out), encoding="utf-8") as fh:
+            text = fh.read()
+    assert text.startswith(HEADERS[argv[0]]) and text.endswith("\n"), argv

@@ -1,7 +1,7 @@
-"""Layout of the package: the production import path loads `core`, `scan`
-and the CLI and nothing else, so it stays free of the definition-level
-oracles; no module carries an unused import; the public namespace
-resolves; and the README's library example runs.
+"""Layout of the package: the production import path loads `core`, `scan`,
+`shortest` and the CLI and nothing else, so it stays free of the
+definition-level oracles; no module carries an unused import; the public
+namespace resolves; and the README's library example runs.
 
 Standard library only, so the checks run wherever the test suite does.
 """
@@ -17,11 +17,12 @@ import pytest
 import dipolepair
 
 PACKAGE = Path(dipolepair.__file__).resolve().parent
-# production is core, scan and the CLI; `reference` holds the oracles
+# production is core, scan, shortest and the CLI; `reference` holds the oracles
 LOADED = {
-    "import dipolepair": {"dipolepair", "dipolepair.core", "dipolepair.scan"},
+    "import dipolepair": {"dipolepair", "dipolepair.core", "dipolepair.scan",
+                          "dipolepair.shortest"},
     "import dipolepair.cli": {"dipolepair", "dipolepair.cli", "dipolepair.core",
-                              "dipolepair.scan"},
+                              "dipolepair.scan", "dipolepair.shortest"},
 }
 
 

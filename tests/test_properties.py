@@ -1,6 +1,7 @@
 """Property-based tests of the invariants the array core and the contour
 tracer must keep: bit equality of the core over a batch, and of the boundary
-fields, with its scalar twin behind `evaluate_point`; the derived invariants
+fields, with its scalar twin behind `evaluate_point`, and the same error
+from a boundary field on a bad scalar as on an array; the derived invariants
 on the exact values of both (weights a probability vector that never rises
 with energy, correlations in the Bell tetrahedron, CHSH in [0, 2 sqrt 2],
 fidelity in [1/3, 1]); `scan` and `dominant` rows equal to the repr of the
@@ -13,6 +14,7 @@ loop once, with residuals below the tolerance.
 Runs are derandomized, so the suite draws the same examples every time.
 """
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dipolepair import core
@@ -84,8 +86,10 @@ def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
     for quantity, want in expected.items():
         field = boundary_field(quantity)
         np.testing.assert_array_equal(bits(field(u, v)), bits(want))
-        scalar = field(*pts[0])
-        assert type(scalar) is float and bits(scalar) == bits(want[0])
+        # two floats go through the scalar twin
+        scalars = [field(a, b) for a, b in pts]
+        assert all(type(x) is float for x in scalars)
+        np.testing.assert_array_equal(bits(scalars), bits(want))
 
     # the core checks only its inputs; the closed forms guarantee the rest,
     # asserted here on the exact values of the core and its scalar twin.
@@ -114,6 +118,18 @@ def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
         assert np.all((fidelity >= 1.0 / 3.0 - 1e-12) & (fidelity <= 1.0 + 1e-12))
 
 
+@pytest.mark.parametrize("quantity", list(BoundaryQuantity))
+@pytest.mark.parametrize("u, v", [(float("nan"), 1.0), (1.0, float("-inf")), (10 ** 400, 0.0),
+                                  (0.0, -(10 ** 400)), (2000.5, 0.0), (0.0, -2001.0)])
+def test_a_bad_scalar_fails_the_field_as_an_array_does(quantity, u, v):
+    field = boundary_field(quantity)
+    with pytest.raises(ValueError) as on_arrays:
+        field(np.array([u], dtype=object), np.array([v], dtype=object))
+    with pytest.raises(ValueError) as on_scalars:
+        field(u, v)
+    assert str(on_scalars.value) == str(on_arrays.value)
+
+
 # repeated points, and 0.0 beside -0.0 in one column: a formatter that
 # shares strings between equal values rather than equal bits writes one
 # zero's sign on the other's row
@@ -128,14 +144,14 @@ def test_scan_and_dominant_rows_are_the_repr_of_the_scalar_route(pts):
     u, v = np.array(pts).T
     records = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
     for normalized in (False, True):
-        rows = list(scan_rows([core.evaluate(u, v)], normalized))
+        rows = "".join(scan_rows([core.evaluate(u, v)], normalized)).splitlines()
         assert rows[1:] == [
             ",".join([repr(r.u), repr(r.v), repr(r.chsh),
                       repr(2.0 * r.negativity if normalized else r.negativity),
                       repr(r.fidelity), repr(r.dominant_weight),
                       r.dominant_label.name.lower(), r.region.value])
             for r in records]
-    rows = list(dominant_rows([core.evaluate(u, v)]))
+    rows = "".join(dominant_rows([core.evaluate(u, v)])).splitlines()
     assert rows[1:] == [f"{r.u!r},{r.v!r},{r.dominant_label.name.lower()},{r.dominant_weight!r}"
                         for r in records]
 

@@ -304,14 +304,14 @@ class TestTraceBoundary:
 class TestCsvRows:
     def test_scan_rows_shape_and_header(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
-        lines = list(scan_rows(evaluate_grid(g)))
+        lines = "".join(scan_rows(evaluate_grid(g))).splitlines()
         assert lines[0] == "u,v,chsh,negativity,fidelity,dominant_weight,dominant_label,region"
         assert len(lines) == 5
         assert lines[1].split(",")[0] == "0.0"
 
     def test_scan_rows_roundtrip_floats(self):
         rec = evaluate_point(CouplingParams(3.0, 1.0))
-        line = list(scan_rows([core.evaluate(3.0, 1.0)]))[1]
+        line = "".join(scan_rows([core.evaluate(3.0, 1.0)])).splitlines()[1]
         fields = line.split(",")
         assert float(fields[3]) == rec.negativity
         assert float(fields[4]) == rec.fidelity
@@ -320,19 +320,21 @@ class TestCsvRows:
 
     def test_normalized_negativity_doubles(self):
         block = core.evaluate(3.0, 1.0)
-        plain = list(scan_rows([block]))[1].split(",")[3]
-        doubled = list(scan_rows([block], normalized_negativity=True))[1].split(",")[3]
+        plain = "".join(scan_rows([block])).splitlines()[1].split(",")[3]
+        doubled = "".join(scan_rows([block], normalized_negativity=True)).splitlines()
+        doubled = doubled[1].split(",")[3]
         assert float(doubled) == 2.0 * float(plain)
 
     def test_boundary_rows(self):
         g = GridSpec(2.0, 3.0, 0.5, 1.5, 2, 3)
-        lines = list(boundary_rows(trace_boundary(BoundaryQuantity.NEGATIVITY, g)))
+        polylines = trace_boundary(BoundaryQuantity.NEGATIVITY, g)
+        lines = "".join(boundary_rows(polylines)).splitlines()
         assert lines[0] == "contour_id,u,v"
         assert all(line.split(",")[0] == "0" for line in lines[1:])
 
     def test_dominant_rows(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
-        lines = list(dominant_rows(evaluate_grid(g)))
+        lines = "".join(dominant_rows(evaluate_grid(g))).splitlines()
         assert lines[0] == "u,v,dominant_label,dominant_weight"
         assert len(lines) == 5
         assert lines[1].split(",")[2] == "phi_plus"
