@@ -322,8 +322,9 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
 # round-trips the double.  `shortest.reprs` formats whole columns into
 # NUL-padded byte rows; the rows of a slice are joined as one byte matrix
 # and the NULs dropped, so each slice becomes one text chunk.  At about 170
-# bytes per row, a slice's matrix stays under 1 MB.
-SLICE_ROWS = 1 << 12
+# bytes per row a slice's matrix and its copies stay near 1 MB; slices of
+# 4096 rows cost a 201 x 201 `scan` 1.2 MB more peak RSS, and no less time.
+SLICE_ROWS = 1 << 11
 
 
 def _byte_table(texts: list[str]) -> np.ndarray:
@@ -342,19 +343,15 @@ _SUFFIXES = _byte_table([f",{name},{region.value}\n" for name in _LABEL_NAMES
                          for region in core.REGIONS])
 
 
-def _reprs(u: np.ndarray, v: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
-    """`shortest.reprs` of each column, from one call for the numpy
-    overhead's sake.  u and v repeat each axis coordinate, so they are
-    formatted once per distinct double and trimmed to the padding their
-    values need; doubles are told apart by their bits, so 0.0 and -0.0
-    keep their own text."""
-    distinct = [np.unique(c.view(np.int64), return_inverse=True) for c in (u, v)]
-    parts = [keys.view(np.float64) for keys, _ in distinct] + list(columns)
-    texts = np.split(shortest.reprs(np.concatenate(parts)),
-                     np.cumsum([p.size for p in parts[:-1]]))
-    for i, (_, inverse) in enumerate(distinct):
-        texts[i] = texts[i][:, int(texts[i].any(axis=0).argmax()):][inverse]
-    return texts
+def _coordinate_reprs(b: core.PhaseArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`shortest.reprs` of each distinct double of a block's u and v
+    columns, which repeat each axis coordinate, trimmed to the padding they
+    need, and the row of each entry of u and of v in that table.  Doubles
+    are told apart by their bits, so 0.0 and -0.0 keep their own text."""
+    (u, at_u), (v, at_v) = (np.unique(c.view(np.int64), return_inverse=True)
+                            for c in (b.u, b.v))
+    texts = shortest.reprs(np.concatenate((u, v)).view(np.float64))
+    return texts[:, int(texts.any(axis=0).argmax()):], at_u, u.size + at_v
 
 
 def _chunk(fields: list[np.ndarray]) -> str:
@@ -377,12 +374,14 @@ def scan_rows(blocks: Iterable[core.PhaseArrays],
     yield SCAN_HEADER + "\n"
     for b in blocks:
         neg = 2.0 * b.negativity if normalized_negativity else b.negativity
+        coordinates, at_u, at_v = _coordinate_reprs(b)
         for at in range(0, b.u.size, SLICE_ROWS):
             s = slice(at, at + SLICE_ROWS)
-            u, v, chsh, negativity, fidelity, weight = _reprs(
-                b.u[s], b.v[s], b.chsh[s], neg[s], b.fidelity[s], b.dominant_weight[s])
-            yield _chunk([u, _COMMA, v, _COMMA, chsh, _COMMA, negativity, _COMMA, fidelity,
-                          _COMMA, weight,
+            # one call for the four columns, for numpy's per-call overhead
+            chsh, negativity, fidelity, weight = np.split(shortest.reprs(np.concatenate(
+                (b.chsh[s], neg[s], b.fidelity[s], b.dominant_weight[s]))), 4)
+            yield _chunk([coordinates[at_u[s]], _COMMA, coordinates[at_v[s]], _COMMA,
+                          chsh, _COMMA, negativity, _COMMA, fidelity, _COMMA, weight,
                           _SUFFIXES[b.dominant[s] * len(core.REGIONS) + b.region[s]]])
 
 
@@ -402,7 +401,9 @@ def dominant_rows(blocks: Iterable[core.PhaseArrays]) -> Iterator[str]:
     newline-terminated rows per slice of up to SLICE_ROWS points."""
     yield DOMINANT_HEADER + "\n"
     for b in blocks:
+        coordinates, at_u, at_v = _coordinate_reprs(b)
         for at in range(0, b.u.size, SLICE_ROWS):
             s = slice(at, at + SLICE_ROWS)
-            u, v, weight = _reprs(b.u[s], b.v[s], b.dominant_weight[s])
-            yield _chunk([u, _COMMA, v, _LABELS[b.dominant[s]], weight, _NEWLINE])
+            yield _chunk([coordinates[at_u[s]], _COMMA, coordinates[at_v[s]],
+                          _LABELS[b.dominant[s]], shortest.reprs(b.dominant_weight[s]),
+                          _NEWLINE])

@@ -4,10 +4,9 @@ for every entry from numpy uint64 arithmetic, not one Python call each.
 Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 2020) finds the shortest decimal that rounds to the double, and the closest
 of that length, from three products with a 126-bit power of ten.  Layout:
-repr's fixed notation ("0." below 1, ".0" on integers) while the decimal
-point position lies in (-4, 16].  Exponent notation, rare in the phase
-plane, and subnormals, infinities and nan are left to `repr` itself.  The
-tables are built on first use, so importing the module costs nothing.
+repr's, fixed notation while the decimal point position lies in (-4, 16],
+exponent notation otherwise.  Subnormals, infinities and nan are left to
+`repr` itself.  The tables are built on first use.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ _U = np.uint64
 _M32 = _U(0xFFFF_FFFF)
 _M63 = _U((1 << 63) - 1)
 _ALL = _U((1 << 64) - 1)
-_ZEROS = _U(0x3030303030303030)  # eight ASCII '0'
 _ONE_BITS = np.array(1.0).view(_U)
 _POW10 = np.array([10 ** i for i in range(18)], dtype=_U)
 _K_MIN = -292  # smallest power of ten that scales a normal double
@@ -34,12 +32,10 @@ _RUN = 1 << 12
 def _pow10_table() -> np.ndarray:
     """Rows g1, g1 >> 32, g1 & M32, g0 >> 32, g0 & M32 for e = -292..324,
     where g1 2**63 + g0 = floor(10**e 2**-r) + 1 lies in [2**125, 2**126)."""
-    g = []
-    for e in range(_K_MIN, 325):
-        r = ((e * 1741647) >> 19) - 125  # floor(log2 10**e) - 125
-        g.append((10 ** max(e, 0) << max(-r, 0)) // (10 ** max(-e, 0) << max(r, 0)) + 1)
-    g1 = np.array([x >> 63 for x in g], dtype=_U)
-    g0 = np.array([x & ((1 << 63) - 1) for x in g], dtype=_U)
+    g = np.array([(10 ** max(e, 0) << max(-r, 0)) // (10 ** max(-e, 0) << max(r, 0)) + 1
+                  for e in range(_K_MIN, 325)
+                  for r in [((e * 1741647) >> 19) - 125]])  # floor(log2 10**e) - 125
+    g1, g0 = (g >> 63).astype(_U), (g & ((1 << 63) - 1)).astype(_U)
     return np.stack((g1, g1 >> _U(32), g1 & _M32, g0 >> _U(32), g0 & _M32))
 
 
@@ -48,19 +44,13 @@ def _layout_table() -> np.ndarray:
     """Nine rows by code (fraction digits - 1) * 32 + (integer digits - 1)
     * 2 + sign: three words keeping the fraction digits of a right-aligned
     text, three keeping its integer digits, three with its point and sign."""
-    code = np.arange(20 * 32)
+    code, col = np.arange(20 * 32)[:, None], np.arange(WIDTH)
     dot = (WIDTH - 1) - (code // 32 + 1)
     start = dot - (code // 2 % 16 + 1)
-    lowest = np.arange(0, WIDTH, 8)[:, None]  # first byte of each word
-
-    def from_(col):  # the bytes at col and after
-        below = np.clip(col - lowest, 0, 8)  # bytes of the word before col
-        return np.where(below == 8, _U(0), _ALL << (below % 8 * 8).astype(_U))
-
-    at_dot, past_dot, at_start = from_(dot), from_(dot + 1), from_(start)
-    marks = ((at_dot ^ past_dot) & _U(0x2E2E2E2E2E2E2E2E)) | (
-        (from_(start - code % 2) ^ at_start) & _U(0x2D2D2D2D2D2D2D2D))
-    return np.concatenate((past_dot, at_start & ~at_dot, marks))
+    ff, period, minus = np.array([0xFF, ord("."), ord("-")], np.uint8)
+    masks = np.stack(((col > dot) * ff, ((col >= start) & (col < dot)) * ff,
+                      (col == dot) * period | ((col == start - 1) & (code % 2 == 1)) * minus))
+    return masks.view("<u8").transpose(0, 2, 1).reshape(9, -1)
 
 
 def _mulhi(a1, a0, b1, b0):
@@ -72,8 +62,8 @@ def _mulhi(a1, a0, b1, b0):
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, e): f 10**e is the shortest decimal that rounds to each positive
-    normal double, the closest of that length; f may end in zeros.
-    Figure 7 of the paper, with the constants of Java's DoubleToDecimal."""
+    normal double, the closest of that length; f may end in zeros.  Figure
+    7 of the paper, with the constants of Java's DoubleToDecimal."""
     exponent = (bits >> _U(52)).astype(np.int64)
     fraction = bits & _U((1 << 52) - 1)
     c = fraction | _U(1 << 52)
@@ -111,16 +101,23 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _ascii4() -> np.ndarray:
     """The 4 zero-padded digits of 0..9999 as little-endian bytes."""
-    n = np.arange(10000, dtype=_U)
-    digits = (n // _U(1000), n // _U(100) % _U(10), n // _U(10) % _U(10), n % _U(10))
-    return sum(d << _U(8 * i) for i, d in enumerate(digits)) | _U(0x30303030)
+    n = np.arange(10000, dtype=np.uint16)
+    digits = np.stack((n // 1000, n // 100 % 10, n // 10 % 10, n % 10), axis=1).astype(np.uint8)
+    return (digits + np.uint8(ord("0"))).view("<u4").ravel().astype(_U)
 
 
-def _ascii8(x: np.ndarray) -> np.ndarray:
-    """Words whose little-endian bytes are the 8 zero-padded digits of each
-    x < 10**8."""
-    hi = x // _U(10000)
-    return np.take(_ascii4(), hi) | np.take(_ascii4(), x - hi * _U(10000)) << _U(32)
+def _exponent(words: np.ndarray, power: np.ndarray, one_digit: np.ndarray) -> np.ndarray:
+    """Right-aligned mantissas moved left for "e", the sign and two or three
+    digits of `power`; a one-digit mantissa loses the ".0" of its layout."""
+    size = np.where(np.abs(power) >= 100, 5, 4)
+    shift = ((size - 2 * one_digit) * 8).astype(_U)
+    words = np.stack(((words[0] >> shift) | (words[1] << (_U(64) - shift)),
+                      (words[1] >> shift) | (words[2] << (_U(64) - shift)),
+                      (words[2] >> shift) & (_ALL >> (size * 8).astype(_U))))
+    digits = _ascii4()[np.abs(power)] >> ((6 - size) * 8).astype(_U)
+    sign = np.where(power < 0, _U(0x2D), _U(0x2B))
+    words[2] |= (_U(0x65) | sign << _U(8) | digits << _U(16)) << ((8 - size) * 8).astype(_U)
+    return words
 
 
 def reprs(x: np.ndarray) -> np.ndarray:
@@ -141,24 +138,33 @@ def reprs(x: np.ndarray) -> np.ndarray:
         last = f[zero_ended]
         zero_ended = zero_ended[last // _U(10) * _U(10) == last]
     point = e + np.searchsorted(_POW10, f, side="right")  # digits before the point
-    fixed = normal & (point > -4) & (point <= 16)
-    if not fixed.all():  # zeros become "0.0"; `repr` writes the others below
-        f[~fixed], e[~fixed], point[~fixed] = 0, 0, 1
+    # exponent notation shows the decimal exponent `power` after a mantissa
+    # with one digit before the point, laid out here as fixed notation
+    power = np.where((point > -4) & (point <= 16), 0, point - 1)
+    e, point = e - power, point - power
+    if not normal.all():  # zeros become "0.0"; `repr` writes the others below
+        f[~normal], e[~normal], point[~normal], power[~normal] = 0, 0, 1, 0
     fraction = np.maximum(-e, 1)
     f = f * _POW10[np.maximum(e + 1, 0)]  # an integer's ".0" as one more digit
-    # the 24 zero-padded digits of f, and a spare word
+    # the 24 zero-padded digits of f: '0' * 7 and its top digit, two words of
+    # 8 digits from the 4-digit table, and a spare word
     digits = np.zeros((4, x.size), _U)
     top = f // _U(10 ** 8)
-    digits[0] = _ZEROS + (top // _U(10 ** 8) << _U(56))
-    digits[1:3] = _ascii8(np.stack((top - top // _U(10 ** 8) * _U(10 ** 8),
-                                    f - top * _U(10 ** 8))))
+    digits[0] = _U(0x3030303030303030) + (top // _U(10 ** 8) << _U(56))
+    eights = np.stack((top - top // _U(10 ** 8) * _U(10 ** 8), f - top * _U(10 ** 8)))
+    fours = eights // _U(10000)
+    digits[1:3] = _ascii4()[fours] | _ascii4()[eights - fours * _U(10000)] << _U(32)
     code = (fraction - 1) * 32 + (np.maximum(point, 1) - 1) * 2 + (bits >> _U(63)).astype(int)
     keep_fraction, keep_integer, marks = np.take(_layout_table(), code, axis=1).reshape(3, 3, -1)
     # the integer digits sit one byte left of their place in `digits`
     words = (digits[:3] & keep_fraction) | marks | (
         ((digits[:3] >> _U(8)) | (digits[1:] << _U(56))) & keep_integer)
-    text = np.ascontiguousarray(words.T).view(np.uint8)
-    rest = np.flatnonzero(~fixed & (magnitude != _U(0)))
+    scientific = np.flatnonzero(power)
+    if scientific.size:
+        words[:, scientific] = _exponent(words[:, scientific], power[scientific],
+                                         e[scientific] == 0)
+    text = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+    rest = np.flatnonzero(~normal & (magnitude != _U(0)))
     if rest.size:
         text[rest] = np.frombuffer(b"".join(repr(v).encode().rjust(WIDTH, b"\0")
                                             for v in x[rest].tolist()),

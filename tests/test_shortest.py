@@ -1,7 +1,8 @@
 """`shortest.reprs` writes the bytes of repr for every double: on hypothesis
 floats, on seeded random bit patterns, on integers and powers of two and
 ten, and at the switch points of repr's layout (exponent notation below
-1e-4 and from 1e16, subnormals, the largest double).
+1e-4 and from 1e16, three exponent digits from 1e100, subnormals, the
+largest double).
 
 Runs are derandomized, so the suite draws the same examples every time.
 The same check over 10**7 patterns, ten batches of a million:
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from dipolepair.shortest import WIDTH, reprs
 
 EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-05, 1e-04,
-         1e16, 9999999999999998.0, 1.7976931348623157e308, 2000.0]
+         1e16, 9999999999999998.0, 1.7976931348623157e308, 2000.0, 1e99, 1e100, 1e-100]
 
 
 def assert_reprs(x: np.ndarray) -> None:
@@ -47,7 +48,8 @@ def test_reprs_equal_repr(xs):
 
 
 def test_reprs_equal_repr_on_random_bit_patterns():
-    # raw patterns are 99% exponent notation, which falls to repr
+    # raw patterns are 99% exponent notation; the second batch draws its
+    # exponents from the binades repr writes in fixed notation
     check_bit_patterns(seed=1, size=10 ** 5, fixed=False)
     check_bit_patterns(seed=2, size=10 ** 5, fixed=True)
 
