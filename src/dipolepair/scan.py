@@ -177,16 +177,14 @@ def _field_values(quantity: BoundaryQuantity, p: core.PhaseArrays) -> np.ndarray
 
 
 def boundary_field(quantity: BoundaryQuantity) -> Callable:
-    """Signed field whose zero set is the requested boundary; it takes u, v
-    as floats (giving a float, from the core's scalar twin) or arrays
-    (giving an array, from the array core), equal to the bit."""
+    """Signed field whose zero set is the requested boundary, read from the
+    array core; it takes u, v as floats (giving a float) or arrays."""
     quantity = BoundaryQuantity(quantity)
 
     def field(u, v):
-        if np.ndim(u) == 0 and np.ndim(v) == 0:
-            return _field_values(quantity, core.PhaseArrays(*core.evaluate_one(u, v)))
         values = _field_values(quantity, core.evaluate(u, v))
-        return values.reshape(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        values = values.reshape(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return float(values) if values.ndim == 0 else values
 
     return field
 

@@ -86,7 +86,7 @@ def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
     for quantity, want in expected.items():
         field = boundary_field(quantity)
         np.testing.assert_array_equal(bits(field(u, v)), bits(want))
-        # two floats go through the scalar twin
+        # two floats give a float
         scalars = [field(a, b) for a, b in pts]
         assert all(type(x) is float for x in scalars)
         np.testing.assert_array_equal(bits(scalars), bits(want))
