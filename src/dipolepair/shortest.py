@@ -4,9 +4,9 @@ for every entry from numpy uint64 arithmetic, not one Python call each.
 Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 2020) finds the shortest decimal that rounds to the double, and the closest
 of that length, from three products with a 126-bit power of ten.  Layout:
-repr's, fixed notation while the decimal point position lies in (-4, 16],
-exponent notation otherwise.  Subnormals, infinities and nan are left to
-`repr` itself.  The tables are built on first use.
+repr's fixed notation, which repr uses while the decimal point position
+lies in (-4, 16].  Exponent notation, subnormals, infinities and nan are
+left to `repr` itself.  The tables are built on first use.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ WIDTH = 24  # the longest repr of a double: '-1.2345678901234567e-308'
 _U = np.uint64
 _M32 = _U(0xFFFF_FFFF)
 _M63 = _U((1 << 63) - 1)
-_ALL = _U((1 << 64) - 1)
 _ONE_BITS = np.array(1.0).view(_U)
 _POW10 = np.array([10 ** i for i in range(18)], dtype=_U)
 _K_MIN = -292  # smallest power of ten that scales a normal double
@@ -106,20 +105,6 @@ def _ascii4() -> np.ndarray:
     return (digits + np.uint8(ord("0"))).view("<u4").ravel().astype(_U)
 
 
-def _exponent(words: np.ndarray, power: np.ndarray, one_digit: np.ndarray) -> np.ndarray:
-    """Right-aligned mantissas moved left for "e", the sign and two or three
-    digits of `power`; a one-digit mantissa loses the ".0" of its layout."""
-    size = np.where(np.abs(power) >= 100, 5, 4)
-    shift = ((size - 2 * one_digit) * 8).astype(_U)
-    words = np.stack(((words[0] >> shift) | (words[1] << (_U(64) - shift)),
-                      (words[1] >> shift) | (words[2] << (_U(64) - shift)),
-                      (words[2] >> shift) & (_ALL >> (size * 8).astype(_U))))
-    digits = _ascii4()[np.abs(power)] >> ((6 - size) * 8).astype(_U)
-    sign = np.where(power < 0, _U(0x2D), _U(0x2B))
-    words[2] |= (_U(0x65) | sign << _U(8) | digits << _U(16)) << ((8 - size) * 8).astype(_U)
-    return words
-
-
 def reprs(x: np.ndarray) -> np.ndarray:
     """(N, WIDTH) uint8: row i holds repr(float(x[i])) right-aligned and
     NUL-padded on the left."""
@@ -138,12 +123,9 @@ def reprs(x: np.ndarray) -> np.ndarray:
         last = f[zero_ended]
         zero_ended = zero_ended[last // _U(10) * _U(10) == last]
     point = e + np.searchsorted(_POW10, f, side="right")  # digits before the point
-    # exponent notation shows the decimal exponent `power` after a mantissa
-    # with one digit before the point, laid out here as fixed notation
-    power = np.where((point > -4) & (point <= 16), 0, point - 1)
-    e, point = e - power, point - power
-    if not normal.all():  # zeros become "0.0"; `repr` writes the others below
-        f[~normal], e[~normal], point[~normal], power[~normal] = 0, 0, 1, 0
+    fixed = normal & (point > -4) & (point <= 16)  # else repr writes an exponent
+    if not fixed.all():  # zeros become "0.0"; `repr` writes the others below
+        f[~fixed], e[~fixed], point[~fixed] = 0, 0, 1
     fraction = np.maximum(-e, 1)
     f = f * _POW10[np.maximum(e + 1, 0)]  # an integer's ".0" as one more digit
     # the 24 zero-padded digits of f: '0' * 7 and its top digit, two words of
@@ -159,12 +141,8 @@ def reprs(x: np.ndarray) -> np.ndarray:
     # the integer digits sit one byte left of their place in `digits`
     words = (digits[:3] & keep_fraction) | marks | (
         ((digits[:3] >> _U(8)) | (digits[1:] << _U(56))) & keep_integer)
-    scientific = np.flatnonzero(power)
-    if scientific.size:
-        words[:, scientific] = _exponent(words[:, scientific], power[scientific],
-                                         e[scientific] == 0)
     text = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
-    rest = np.flatnonzero(~normal & (magnitude != _U(0)))
+    rest = np.flatnonzero(~fixed & (magnitude != _U(0)))
     if rest.size:
         text[rest] = np.frombuffer(b"".join(repr(v).encode().rjust(WIDTH, b"\0")
                                             for v in x[rest].tolist()),
