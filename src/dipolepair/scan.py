@@ -341,15 +341,26 @@ _SUFFIXES = _byte_table([f",{name},{region.value}\n" for name in _LABEL_NAMES
                          for region in core.REGIONS])
 
 
-def _coordinate_reprs(b: core.PhaseArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`shortest.reprs` of each distinct double of a block's u and v
-    columns, which repeat each axis coordinate, trimmed to the padding they
-    need, and the row of each entry of u and of v in that table.  Doubles
-    are told apart by their bits, so 0.0 and -0.0 keep their own text."""
+def _slice_reprs(b: core.PhaseArrays, columns: list[np.ndarray]
+                 ) -> Iterator[tuple[slice, list[np.ndarray]]]:
+    """For each slice of up to SLICE_ROWS rows of a block, the slice and
+    the `shortest.reprs` of its u, v and columns, from one call.  u and v
+    repeat each axis coordinate, so each distinct double of theirs is
+    formatted once per block, in the first slice's call, its text trimmed to
+    the padding it needs; doubles are told apart by their bits, so 0.0 and
+    -0.0 keep their own text."""
     (u, at_u), (v, at_v) = (np.unique(c.view(np.int64), return_inverse=True)
                             for c in (b.u, b.v))
-    texts = shortest.reprs(np.concatenate((u, v)).view(np.float64))
-    return texts[:, int(texts.any(axis=0).argmax()):], at_u, u.size + at_v
+    distinct = np.concatenate((u, v)).view(np.float64)
+    at_v += u.size
+    for at in range(0, b.u.size, SLICE_ROWS):
+        s = slice(at, at + SLICE_ROWS)
+        texts = shortest.reprs(np.concatenate([distinct] + [c[s] for c in columns]))
+        if at == 0:
+            coordinates = texts[:distinct.size]
+            coordinates = coordinates[:, int(coordinates.any(axis=0).argmax()):]
+            texts, distinct = texts[distinct.size:], distinct[:0]
+        yield s, [coordinates[at_u[s]], coordinates[at_v[s]]] + np.split(texts, len(columns))
 
 
 def _chunk(fields: list[np.ndarray]) -> str:
@@ -372,14 +383,10 @@ def scan_rows(blocks: Iterable[core.PhaseArrays],
     yield SCAN_HEADER + "\n"
     for b in blocks:
         neg = 2.0 * b.negativity if normalized_negativity else b.negativity
-        coordinates, at_u, at_v = _coordinate_reprs(b)
-        for at in range(0, b.u.size, SLICE_ROWS):
-            s = slice(at, at + SLICE_ROWS)
-            # one call for the four columns, for numpy's per-call overhead
-            chsh, negativity, fidelity, weight = np.split(shortest.reprs(np.concatenate(
-                (b.chsh[s], neg[s], b.fidelity[s], b.dominant_weight[s]))), 4)
-            yield _chunk([coordinates[at_u[s]], _COMMA, coordinates[at_v[s]], _COMMA,
-                          chsh, _COMMA, negativity, _COMMA, fidelity, _COMMA, weight,
+        for s, (u, v, chsh, negativity, fidelity, weight) in _slice_reprs(
+                b, [b.chsh, neg, b.fidelity, b.dominant_weight]):
+            yield _chunk([u, _COMMA, v, _COMMA, chsh, _COMMA, negativity, _COMMA, fidelity,
+                          _COMMA, weight,
                           _SUFFIXES[b.dominant[s] * len(core.REGIONS) + b.region[s]]])
 
 
@@ -399,9 +406,5 @@ def dominant_rows(blocks: Iterable[core.PhaseArrays]) -> Iterator[str]:
     newline-terminated rows per slice of up to SLICE_ROWS points."""
     yield DOMINANT_HEADER + "\n"
     for b in blocks:
-        coordinates, at_u, at_v = _coordinate_reprs(b)
-        for at in range(0, b.u.size, SLICE_ROWS):
-            s = slice(at, at + SLICE_ROWS)
-            yield _chunk([coordinates[at_u[s]], _COMMA, coordinates[at_v[s]],
-                          _LABELS[b.dominant[s]], shortest.reprs(b.dominant_weight[s]),
-                          _NEWLINE])
+        for s, (u, v, weight) in _slice_reprs(b, [b.dominant_weight]):
+            yield _chunk([u, _COMMA, v, _LABELS[b.dominant[s]], weight, _NEWLINE])
