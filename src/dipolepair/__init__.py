@@ -19,9 +19,7 @@ from .scan import (
     GridTooLargeError,
     Region,
     ScanRecord,
-    dominant_map,
     evaluate_point,
-    scan_grid,
     trace_boundary,
 )
 
@@ -39,8 +37,6 @@ __all__ = [
     "GridTooLargeError",
     "Region",
     "ScanRecord",
-    "dominant_map",
     "evaluate_point",
-    "scan_grid",
     "trace_boundary",
 ]

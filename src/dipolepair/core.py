@@ -52,6 +52,7 @@ quadrature behind these closed forms live in `reference`.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -139,14 +140,15 @@ class PhaseArrays:
 def _points(u, v) -> tuple[np.ndarray, np.ndarray]:
     """u and v broadcast against each other, as flat float arrays with one
     entry per point."""
-    try:
-        u = np.asarray(u, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise _too_large("u") from None
-    try:
-        v = np.asarray(v, dtype=float)
-    except OverflowError:
-        raise _too_large("v") from None
+    arrays = []
+    for name, x in (("u", u), ("v", v)):
+        try:
+            arrays.append(np.asarray(x, dtype=float))
+        except OverflowError:  # an integer beyond the float range
+            raise _too_large(name) from None
+        except TypeError:  # complex and other non-numbers
+            raise ValueError(f"{name} must be finite, got {reprlib.repr(x)}") from None
+    u, v = arrays
     if u.shape != v.shape:
         u, v = np.broadcast_arrays(u, v)
     return u.ravel(), v.ravel()

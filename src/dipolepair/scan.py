@@ -17,6 +17,7 @@ the centre).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
@@ -146,27 +147,6 @@ def evaluate_point(params: CouplingParams) -> ScanRecord:
                       core.LABELS[dominant], core.REGIONS[region])
 
 
-def scan_grid(grid: GridSpec) -> list[ScanRecord]:
-    """Every grid point, row-major (v outer, u inner); each record equals
-    `evaluate_point` at its coupling point."""
-    records = []
-    for b in evaluate_grid(grid):
-        records += map(ScanRecord, b.u.tolist(), b.v.tolist(), b.chsh.tolist(),
-                       b.negativity.tolist(), b.fidelity.tolist(),
-                       b.dominant_weight.tolist(),
-                       map(core.LABELS.__getitem__, b.dominant.tolist()),
-                       map(core.REGIONS.__getitem__, b.region.tolist()))
-    return records
-
-
-def dominant_map(grid: GridSpec) -> list[tuple[float, float, BellLabel, float]]:
-    """Dominant Bell component on the grid, row-major, as (u, v, label,
-    weight).  Exact ties fall to the earlier label."""
-    return [(u, v, core.LABELS[d], w) for b in evaluate_grid(grid)
-            for u, v, d, w in zip(b.u.tolist(), b.v.tolist(), b.dominant.tolist(),
-                                  b.dominant_weight.tolist())]
-
-
 def _field_values(quantity: BoundaryQuantity, p: core.PhaseArrays) -> np.ndarray:
     if quantity is BoundaryQuantity.CHSH_MINUS_2:
         return p.chsh - 2.0
@@ -209,12 +189,15 @@ def bisect_root(f: Callable, lo, hi, f_lo, f_hi):
     ignored.
     """
     lo, hi, f_lo, f_hi = (np.array(x, dtype=float) for x in (lo, hi, f_lo, f_hi))
-    if np.any((f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0.0) == (f_hi > 0.0))):
+    # nan > 0.0 is False, so a nan end value would read as a negative one
+    if not (np.isfinite(f_lo) & np.isfinite(f_hi)).all():
+        raise ValueError("bisection bracket end values must be finite")
+    if ((f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0.0) == (f_hi > 0.0))).any():
         raise ValueError("bisection bracket must straddle a sign change")
     root = np.where(f_lo == 0.0, lo, hi)
     active = (f_lo != 0.0) & (f_hi != 0.0)
     lo_positive = f_lo > 0.0
-    while np.any(active):
+    while active.any():
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         done = active & ((mid == lo) | (mid == hi) | (f_mid == 0.0))
@@ -237,7 +220,7 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     smallest edge id (horizontal edges before vertical, then by u index,
     then by v index).  A root that misses the tolerance raises ValueError.
     """
-    if not tol > 0.0:
+    if not (isinstance(tol, numbers.Real) and tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     quantity = BoundaryQuantity(quantity)
     field = boundary_field(quantity)

@@ -28,7 +28,7 @@ from dipolepair.scan import (
     BoundaryQuantity,
     GridSpec,
     boundary_field,
-    scan_grid,
+    evaluate_grid,
     trace_boundary,
 )
 from dipolepair.cli import run_cli
@@ -164,31 +164,33 @@ def test_criterion_6_classical_threshold_and_affine_identity():
 
 def test_criterion_7_entangled_but_local_region():
     start = time.perf_counter()
-    records = scan_grid(GRID81)
+    blocks = list(evaluate_grid(GRID81))
     elapsed = time.perf_counter() - start
-    entangled_local = [
-        r for r in records if r.negativity > 1e-12 and r.chsh <= 2.0
-    ]
-    nonlocal_separable = [
-        r for r in records if r.chsh > 2.0 and r.negativity <= 1e-12
-    ]
-    witness = next(r for r in records if r.u == 3.0 and r.v == 1.0)
+    u, v, chsh, negativity, fidelity = (
+        np.concatenate([getattr(b, name) for b in blocks])
+        for name in ("u", "v", "chsh", "negativity", "fidelity")
+    )
+    entangled_local = int(np.count_nonzero((negativity > 1e-12) & (chsh <= 2.0)))
+    nonlocal_separable = int(np.count_nonzero((chsh > 2.0) & (negativity <= 1e-12)))
+    witness = int(np.flatnonzero((u == 3.0) & (v == 1.0))[0])
+    witness_n, witness_b, witness_f = (
+        float(x[witness]) for x in (negativity, chsh, fidelity))
     witness_ok = (
-        abs(witness.negativity - 0.034446645388522934) < 1e-12
-        and abs(witness.chsh - 1.3070647024048123) < 1e-12
-        and abs(witness.fidelity - 0.689631096925682) < 1e-12
-        and witness.fidelity > 2.0 / 3.0
+        abs(witness_n - 0.034446645388522934) < 1e-12
+        and abs(witness_b - 1.3070647024048123) < 1e-12
+        and abs(witness_f - 0.689631096925682) < 1e-12
+        and witness_f > 2.0 / 3.0
     )
     ok = (
-        len(entangled_local) > 0
-        and len(nonlocal_separable) == 0
+        entangled_local > 0
+        and nonlocal_separable == 0
         and witness_ok
         and elapsed < 10.0
     )
     report(7, ok,
-           f"81x81 grid: {len(entangled_local)} entangled-but-local points "
-           f"(witness (3,1): N {witness.negativity:.4f}, B {witness.chsh:.4f}, "
-           f"F {witness.fidelity:.4f} > 2/3), {len(nonlocal_separable)} "
+           f"81x81 grid: {entangled_local} entangled-but-local points "
+           f"(witness (3,1): N {witness_n:.4f}, B {witness_b:.4f}, "
+           f"F {witness_f:.4f} > 2/3), {nonlocal_separable} "
            f"nonlocal-separable points (must be 0), {elapsed:.2f} s (< 10 s)")
 
 

@@ -7,7 +7,13 @@ import pytest
 
 from dipolepair import core
 from dipolepair.core import CouplingParams
-from dipolepair.scan import BoundaryQuantity, GridSpec, boundary_field, evaluate_point
+from dipolepair.scan import (
+    BoundaryQuantity,
+    GridSpec,
+    boundary_field,
+    evaluate_point,
+    trace_boundary,
+)
 
 
 def test_matches_evaluate_point_at_scattered_points():
@@ -56,6 +62,25 @@ def test_rejects_couplings_outside_the_envelope(u, v):
 def test_an_integer_beyond_the_float_range_is_a_value_error(call):
     # float(10 ** 400) raises OverflowError, which is not a ValueError
     with pytest.raises(ValueError, match=r"^(u|v|u_max) must be finite, got an integer too large"):
+        call()
+
+
+GRID3 = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: core.evaluate(1 + 2j, 1.0), r"u must be finite, got \(1\+2j\)"),
+    (lambda: core.evaluate(object(), 1.0), "u must be finite, got <object"),
+    (lambda: core.evaluate(0.0, [1.0, 1j]), r"v must be finite, got \[1\.0, 1j\]"),
+    (lambda: core.evaluate_one(1 + 2j, 1.0), r"u must be finite, got \(1\+2j\)"),
+    (lambda: boundary_field("chsh")(1j, 0.0), "u must be finite, got 1j"),
+    (lambda: trace_boundary("chsh", GRID3, tol=None), "tolerance must be positive, got None"),
+    (lambda: trace_boundary("chsh", GRID3, tol="x"), "tolerance must be positive, got 'x'"),
+], ids=["evaluate-complex", "evaluate-object", "evaluate-v", "evaluate_one",
+        "boundary_field", "tol-none", "tol-string"])
+def test_a_non_number_is_a_value_error(call, message):
+    # np.asarray(x, dtype=float) and `tol > 0.0` raise TypeError on these
+    with pytest.raises(ValueError, match="^" + message):
         call()
 
 

@@ -35,8 +35,8 @@ from dipolepair.scan import (
     bisect_root,
     boundary_field,
     dominant_rows,
+    evaluate_grid,
     evaluate_point,
-    scan_grid,
     scan_rows,
     trace_boundary,
 )
@@ -201,19 +201,19 @@ SWAP = {BellLabel.PHI_PLUS: BellLabel.PHI_MINUS, BellLabel.PHI_MINUS: BellLabel.
 def test_v_parity_of_the_scan(u_min, u_span, a, nu):
     # rows v = -a and v = -a + 2a = a: mirror images to the bit
     grid = GridSpec(u_min, min(u_min + u_span, COUPLING_LIMIT), -a, a, nu, 2)
-    records = scan_grid(grid)
-    below, above = records[:nu], records[nu:]
-    for r, m in zip(below, above):
-        assert m.u == r.u and m.v == -r.v
+    (p,) = evaluate_grid(grid)  # at most 24 points: one block
+    for r in range(nu):
+        m = r + nu
+        assert p.u[m] == p.u[r] and p.v[m] == -p.v[r]
         for name in ("chsh", "negativity", "fidelity", "dominant_weight"):
-            assert bits(getattr(m, name)) == bits(getattr(r, name))
-        assert m.region is r.region
+            assert bits(getattr(p, name)[m]) == bits(getattr(p, name)[r])
+        assert p.region[m] == p.region[r]
         # Phi+ and Phi- swap, unless their weights tie exactly (as on v = 0,
         # or where 3 |v| is lost against |u|), when both fall to Phi+
-        w = core.weights([r.u], [r.v])[0]
+        w = core.weights([p.u[r]], [p.v[r]])[0]
         tie = w[BellLabel.PHI_PLUS] == w[BellLabel.PHI_MINUS]
-        assert m.dominant_label is (r.dominant_label if tie
-                                    else SWAP.get(r.dominant_label, r.dominant_label))
+        label = core.LABELS[p.dominant[r]]
+        assert core.LABELS[p.dominant[m]] is (label if tie else SWAP.get(label, label))
 
 
 # the whole envelope, plus the scales where the regions meet

@@ -15,11 +15,9 @@ from dipolepair.scan import (
     bisect_root,
     boundary_field,
     boundary_rows,
-    dominant_map,
     dominant_rows,
     evaluate_grid,
     evaluate_point,
-    scan_grid,
     scan_rows,
     trace_boundary,
 )
@@ -116,11 +114,22 @@ class TestEvaluatePoint:
                 assert rec.region is Region.NONLOCAL
 
 
-class TestScanGrid:
+def grid_columns(grid):
+    """`evaluate_grid`'s blocks joined column by column."""
+    blocks = list(evaluate_grid(grid))
+    return core.PhaseArrays(**{name: np.concatenate([getattr(b, name) for b in blocks])
+                               for name in vars(blocks[0])})
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestEvaluateGrid:
     def test_row_major_order(self):
         g = GridSpec(0.0, 1.0, 10.0, 11.0, 2, 2)
-        records = scan_grid(g)
-        assert [(r.u, r.v) for r in records] == [
+        p = grid_columns(g)
+        assert list(zip(p.u.tolist(), p.v.tolist())) == [
             (0.0, 10.0), (1.0, 10.0), (0.0, 11.0), (1.0, 11.0),
         ]
 
@@ -134,39 +143,47 @@ class TestScanGrid:
             GridSpec(-12.0, 12.0, -12.0, 12.0, 25, 25),
         ]
         for g in grids:
-            for rec in scan_grid(g):
-                assert rec == evaluate_point(CouplingParams(rec.u, rec.v))
+            p = grid_columns(g)
+            records = [evaluate_point(CouplingParams(u, v))
+                       for u, v in zip(p.u.tolist(), p.v.tolist())]
+            for name in ("u", "v", "chsh", "negativity", "fidelity", "dominant_weight"):
+                np.testing.assert_array_equal(
+                    bits(getattr(p, name)), bits([getattr(r, name) for r in records]))
+            assert [core.LABELS[d] for d in p.dominant.tolist()] == [
+                r.dominant_label for r in records]
+            assert [core.REGIONS[k] for k in p.region.tolist()] == [r.region for r in records]
 
     def test_v_parity_of_reported_measures(self):
         # u fixed, v -> -v leaves chsh, negativity and fidelity unchanged
         g = GridSpec(-6.0, 6.0, -4.0, 4.0, 7, 9)
-        records = scan_grid(g)
-        by_coord = {(r.u, r.v): r for r in records}
-        for (u, v), rec in by_coord.items():
-            mirror = by_coord[(u, -v)]
-            assert abs(rec.chsh - mirror.chsh) < 1e-12
-            assert abs(rec.negativity - mirror.negativity) < 1e-12
-            assert abs(rec.fidelity - mirror.fidelity) < 1e-12
+        p = grid_columns(g)
+        at = {(u, v): k for k, (u, v) in enumerate(zip(p.u.tolist(), p.v.tolist()))}
+        for (u, v), k in at.items():
+            mirror = at[(u, -v)]
+            for column in (p.chsh, p.negativity, p.fidelity):
+                assert abs(column[k] - column[mirror]) < 1e-12
 
-
-class TestDominantMap:
     def test_ground_state_labels(self):
         g = GridSpec(-10.0, 10.0, -10.0, 10.0, 3, 3)
-        entries = {(u, v): label for u, v, label, _ in dominant_map(g)}
+        p = grid_columns(g)
+        entries = {(u, v): core.LABELS[d]
+                   for u, v, d in zip(p.u.tolist(), p.v.tolist(), p.dominant.tolist())}
         assert entries[(10.0, 0.0)] is BellLabel.PSI_PLUS
         assert entries[(-10.0, 10.0)] is BellLabel.PHI_MINUS
         assert entries[(-10.0, -10.0)] is BellLabel.PHI_PLUS
 
     def test_psi_minus_never_dominant(self):
         g = GridSpec(-10.0, 10.0, -10.0, 10.0, 21, 21)
-        for _, _, label, _ in dominant_map(g):
-            assert label is not BellLabel.PSI_MINUS
+        for d in grid_columns(g).dominant.tolist():
+            assert core.LABELS[d] is not BellLabel.PSI_MINUS
 
     def test_weights_match_spectrum(self):
         g = GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5)
-        for u, v, label, weight in dominant_map(g):
+        p = grid_columns(g)
+        for u, v, d, weight in zip(p.u.tolist(), p.v.tolist(), p.dominant.tolist(),
+                                   p.dominant_weight.tolist()):
             w = core.weights(u, v)[0]
-            assert weight == w[label] == w.max()
+            assert weight == w[core.LABELS[d]] == w.max()
 
 
 class TestBisection:
@@ -190,6 +207,10 @@ class TestBisection:
     def test_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
             bisect_root(lambda x: x, 1.0, 2.0, 1.0, 2.0)
+        # a nan end value has no sign, at either end
+        for f_lo, f_hi in ((math.nan, 0.7), (-0.3, math.nan)):
+            with pytest.raises(ValueError, match="end values must be finite"):
+                bisect_root(lambda x: x - 0.3, 0.0, 1.0, f_lo, f_hi)
 
     def test_entanglement_onset_on_segment(self):
         field = boundary_field(BoundaryQuantity.NEGATIVITY)
