@@ -1,12 +1,30 @@
-"""Tests for the array core and its scalar twin beyond what scans over
-grids cover."""
+"""Tests for the model of `core`: the couplings, the Boltzmann weights and
+correlations, and the CHSH, negativity and fidelity closed forms at frozen
+points and over random couplings; and for the array core and its scalar
+twin beyond what scans over grids cover.
+
+Expected numbers at (u, v) = (3, 1) were frozen before the model was
+written, from independent oracles: the weights and correlations from scipy
+expm of the 4x4 Hamiltonian, then projection onto the Bell basis; the CHSH
+value and negativity from the same matrix exponential and an
+eigendecomposition; the fidelity from explicit Kraus conjugations and a
+400 x 400 dense sphere quadrature.
+"""
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dipolepair import core
-from dipolepair.core import CouplingParams
+from dipolepair.core import (
+    CHSH_CLASSICAL_BOUND,
+    CHSH_QUANTUM_BOUND,
+    COUPLING_LIMIT,
+    BellLabel,
+    CouplingParams,
+    Region,
+)
 from dipolepair.scan import (
     BoundaryQuantity,
     GridSpec,
@@ -14,6 +32,57 @@ from dipolepair.scan import (
     evaluate_point,
     trace_boundary,
 )
+
+# frozen oracle values at (u, v) = (3, 1)
+W31 = {
+    BellLabel.PHI_PLUS: 0.07232948812851325,
+    BellLabel.PHI_MINUS: 0.1966119332414818,
+    BellLabel.PSI_PLUS: 0.5344466453885229,
+    BellLabel.PSI_MINUS: 0.1966119332414818,
+}
+C31 = (0.21355226703407254, 0.4621171572600097, -0.46211715726000974)
+B31 = 1.3070647024048123
+N31 = 0.034446645388522934
+F31 = 0.689631096925682
+
+
+def random_params(rng, scale=8.0):
+    return CouplingParams(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+
+def energies(p):
+    """Bell-level energies as documented in `core`, indexed by BellLabel."""
+    return np.array([(p.u + 3.0 * p.v) / 6.0, (p.u - 3.0 * p.v) / 6.0, -p.u / 3.0, 0.0])
+
+
+def weights(p):
+    return core.weights(p.u, p.v)[0]
+
+
+def weights_at(u, v):
+    return core.weights(u, v)[0]
+
+
+def correlations(p):
+    """Diagonal spin-spin correlations (c1, c2, c3): signed sums of the
+    core's weights."""
+    pp, pm, sp, sm = weights(p)
+    return np.array([pp - pm + sp - sm, -pp + pm + sp - sm, pp + pm - sp - sm])
+
+
+def chsh(p):
+    return core.evaluate_one(p.u, p.v)[2]
+
+
+def closed_negativity(p):
+    return core.evaluate_one(p.u, p.v)[3]
+
+
+def fidelity_and_seed(u, v):
+    """The core's best average fidelity and the seed (dominant label) that
+    reaches it."""
+    _, _, _, _, fidelity, label, _, _ = core.evaluate_one(u, v)
+    return fidelity, BellLabel(label)
 
 
 def test_matches_evaluate_point_at_scattered_points():
@@ -120,3 +189,183 @@ def test_squares_as_python_float_power_does():
     want = np.array([t ** 2 for t in x.tolist()])
     np.testing.assert_array_equal(np.float_power(x, 2.0), want)
     assert np.any(x * x != want)
+
+
+class TestBellStates:
+    def test_canonical_order(self):
+        assert [label.name for label in sorted(BellLabel)] == [
+            "PHI_PLUS", "PHI_MINUS", "PSI_PLUS", "PSI_MINUS",
+        ]
+
+
+class TestCouplingParams:
+    def test_holds_floats(self):
+        p = CouplingParams(3, 1)
+        assert p.u == 3.0 and isinstance(p.u, float)
+
+    @pytest.mark.parametrize("u", [math.nan, None])
+    def test_rejects_nan(self, u):
+        with pytest.raises(ValueError, match="u must be finite"):
+            CouplingParams(u, 0.0)
+
+    def test_rejects_infinite(self):
+        with pytest.raises(ValueError):
+            CouplingParams(0.0, math.inf)
+
+    def test_rejects_beyond_stability_limit(self):
+        with pytest.raises(ValueError, match="stability limit"):
+            CouplingParams(COUPLING_LIMIT + 1.0, 0.0)
+        CouplingParams(COUPLING_LIMIT, -COUPLING_LIMIT)
+
+
+class TestSpectrum:
+    def test_zero_couplings_uniform(self):
+        np.testing.assert_array_equal(weights(CouplingParams(0.0, 0.0)), [0.25] * 4)
+
+    def test_frozen_weights(self):
+        w = weights(CouplingParams(3.0, 1.0))
+        for label, expected in W31.items():
+            assert w[label] == pytest.approx(expected, abs=1e-14)
+
+    def test_log_partition(self):
+        # the shifted exponentials give the unshifted Boltzmann ratios, which
+        # are safe to sum directly at small couplings
+        p = CouplingParams(3.0, 1.0)
+        boltzmann = [math.exp(-e) for e in energies(p)]
+        np.testing.assert_allclose(weights(p), np.array(boltzmann) / sum(boltzmann),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_ground_state_saturates(self):
+        w = weights(CouplingParams(30.0, 0.0))
+        assert abs(w[BellLabel.PSI_PLUS] - 1.0) < 1e-4
+
+    def test_weights_inverse_order_of_energy(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            p = random_params(rng)
+            w = weights(p)
+            assert abs(float(w.sum()) - 1.0) < 1e-12
+            order = np.argsort(energies(p))
+            assert np.all(np.diff(w[order]) <= 1e-15)
+
+    def test_extreme_couplings_stay_finite(self):
+        w = weights(CouplingParams(2000.0, -2000.0))
+        assert np.all(np.isfinite(w))
+        assert float(w.sum()) == pytest.approx(1.0)
+
+    def test_dominant_tie_break(self):
+        # evaluate_one returns the dominant label's index and its weight
+        _, _, _, _, _, label, weight, _ = core.evaluate_one(0.0, 0.0)
+        assert label == BellLabel.PHI_PLUS and weight == 0.25
+        assert core.evaluate_one(30.0, 0.0)[5] == BellLabel.PSI_PLUS
+
+
+class TestThermalState:
+    def test_degenerate_phi_doublet(self):
+        # at (-6, 0) the two Phi levels share the ground energy -1
+        w = weights(CouplingParams(-6.0, 0.0))
+        assert w[BellLabel.PHI_PLUS] == w[BellLabel.PHI_MINUS]
+        assert w[BellLabel.PHI_PLUS] == pytest.approx(0.4136219764199625, abs=1e-14)
+        # no Bell component reaches 1/2
+        assert float(w.max()) < 0.5
+
+
+class TestCorrelations:
+    def test_uncorrelated_at_zero(self):
+        np.testing.assert_array_equal(correlations(CouplingParams(0.0, 0.0)), [0.0] * 3)
+
+    def test_frozen_values(self):
+        c = correlations(CouplingParams(3.0, 1.0))
+        np.testing.assert_allclose(c, C31, rtol=0.0, atol=1e-14)
+
+    def test_explicit_partition_ratio(self):
+        # unshifted Boltzmann ratios are safe at moderate couplings
+        for u, v in [(3.0, 1.0), (-2.0, 0.5), (1.5, -4.0)]:
+            z = sum(math.exp(-e) for e in energies(CouplingParams(u, v)))
+            c3 = correlations(CouplingParams(u, v))[2]
+            expected_c3 = (
+                math.exp(-(u + 3 * v) / 6) + math.exp(-(u - 3 * v) / 6)
+                - math.exp(u / 3) - 1.0
+            ) / z
+            assert c3 == pytest.approx(expected_c3, abs=1e-13)
+
+    def test_v_parity_swaps_c1_c2(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            p = random_params(rng)
+            c1, c2, c3 = correlations(p)
+            m1, m2, m3 = correlations(CouplingParams(p.u, -p.v))
+            assert c1 == pytest.approx(m2, abs=1e-15)
+            assert c2 == pytest.approx(m1, abs=1e-15)
+            assert c3 == pytest.approx(m3, abs=1e-15)
+
+
+class TestChshClosedForm:
+    def test_uncorrelated(self):
+        assert chsh(CouplingParams(0.0, 0.0)) == 0.0
+
+    def test_frozen_thermal_value(self):
+        assert chsh(CouplingParams(3.0, 1.0)) == pytest.approx(B31, abs=1e-14)
+
+    def test_deep_ground_state_approaches_bound(self):
+        _, _, value, _, _, _, _, region = core.evaluate_one(30.0, 0.0)
+        assert abs(value - CHSH_QUANTUM_BOUND) < 1e-3
+        assert core.REGIONS[region] is Region.NONLOCAL
+
+
+class TestNegativityBellDiagonal:
+    def test_uniform_weights(self):
+        assert closed_negativity(CouplingParams(0.0, 0.0)) == 0.0
+
+    def test_pure_bell_weight(self):
+        # at the edge of the envelope the Psi+ weight rounds to exactly 1
+        p = CouplingParams(2000.0, 0.0)
+        assert core.weights(p.u, p.v)[0][BellLabel.PSI_PLUS] == 1.0
+        assert closed_negativity(p) == 0.5
+
+    def test_frozen_thermal_value(self):
+        p = CouplingParams(3.0, 1.0)
+        assert closed_negativity(p) == pytest.approx(N31, abs=1e-14)
+        # the closed form is exactly max weight - 1/2 here
+        assert closed_negativity(p) == pytest.approx(
+            core.weights(p.u, p.v)[0][BellLabel.PSI_PLUS] - 0.5, abs=1e-15
+        )
+
+
+class TestPhysicalRelations:
+    def test_nonlocal_implies_entangled(self):
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            p = random_params(rng, scale=12.0)
+            if chsh(p) > CHSH_CLASSICAL_BOUND:
+                assert closed_negativity(p) > 1e-12
+
+    def test_values_in_range(self):
+        rng = np.random.default_rng(56)
+        for _ in range(200):
+            p = random_params(rng, scale=12.0)
+            assert 0.0 <= chsh(p) <= CHSH_QUANTUM_BOUND + 1e-12
+            assert 0.0 <= closed_negativity(p) <= 0.5
+
+
+class TestAverageFidelity:
+    def test_pure_resource(self):
+        # Psi+ carries all the weight at the edge of the envelope
+        assert fidelity_and_seed(2000.0, 0.0) == (1.0, BellLabel.PSI_PLUS)
+
+    def test_uniform_resource(self):
+        assert fidelity_and_seed(0.0, 0.0)[0] == pytest.approx(0.5)
+
+    def test_frozen_thermal_value(self):
+        assert fidelity_and_seed(3.0, 1.0)[0] == pytest.approx(F31, abs=1e-14)
+
+
+class TestBestFidelity:
+    def test_affine_link_to_max_weight(self):
+        # best - 2/3 = (2/3) (max_a p_a - 1/2) for the thermal resource
+        rng = np.random.default_rng(68)
+        for _ in range(100):
+            u, v = rng.uniform(-12.0, 12.0, 2).tolist()
+            lhs = fidelity_and_seed(u, v)[0] - 2.0 / 3.0
+            rhs = (2.0 / 3.0) * (float(np.max(weights_at(u, v))) - 0.5)
+            assert abs(lhs - rhs) <= 1e-14
