@@ -28,9 +28,6 @@ VALIDATION_TOL = 1e-12
 
 CLASSICAL_DIMENSION = 2
 
-# resolution used when breaking eigenvalue ties deterministically
-_TIE_DECIMALS = 9
-
 _PAULI = (
     np.eye(2, dtype=complex),
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -119,45 +116,13 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def _canonical_phase(col: np.ndarray) -> np.ndarray:
-    # rotate so the largest-magnitude entry is real positive
-    idx = int(np.argmax(np.abs(col)))
-    ref = col[idx]
-    if abs(ref) == 0.0:
-        return col
-    return col * (abs(ref) / ref)
-
-
-def _tie_key(val: float, col: np.ndarray):
-    ent = np.round(col, _TIE_DECIMALS)
-    return (round(float(val), _TIE_DECIMALS),) + tuple(
-        (float(z.real), float(z.imag)) for z in ent
-    )
-
-
 def hermitian_eig(m, tol: float = HERMITIAN_INPUT_TOL) -> EigenSystem:
-    """Eigendecomposition with deterministic ordering.
-
-    Eigenvalues ascend; near-degenerate values (equal after rounding to
-    1e-9) are ordered by lexicographic comparison of the phase-fixed,
-    rounded eigenvectors so repeated calls agree column for column.
-    """
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix, as
+    `numpy.linalg.eigh` returns them: a degenerate eigenspace's basis and
+    each column's phase are eigh's, and `gibbs` depends on neither."""
     m = require_hermitian(m, tol)
-    sym = (m + m.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    cols = [_canonical_phase(vecs[:, k]) for k in range(vecs.shape[1])]
-    order = sorted(range(len(vals)), key=lambda k: _tie_key(vals[k], cols[k]))
-    return EigenSystem(
-        eigenvalues=np.array([float(vals[k]) for k in order]),
-        eigenvectors=np.column_stack([cols[k] for k in order]),
-    )
-
-
-def trace_norm_hermitian(m, tol: float = HERMITIAN_INPUT_TOL) -> float:
-    """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
-    m = require_hermitian(m, tol)
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return float(np.sum(np.abs(evals)))
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return EigenSystem(eigenvalues=vals, eigenvectors=vecs)
 
 
 def gibbs(h, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
@@ -174,30 +139,10 @@ def gibbs(h, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
-def reduce_sphere_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Map arbitrary (theta, phi) to the canonical patch [0, pi] x [0, 2*pi)."""
-    two_pi = 2.0 * math.pi
-    t = math.fmod(float(theta), two_pi)
-    if t < 0.0:
-        t += two_pi
-    p = float(phi)
-    if t > math.pi:
-        # (theta, phi) and (2*pi - theta, phi + pi) point the same way
-        t = two_pi - t
-        p += math.pi
-    p = math.fmod(p, two_pi)
-    if p < 0.0:
-        p += two_pi
-    if p >= two_pi:
-        p = 0.0
-    return t, p
-
-
 def bloch_to_state(theta: float, phi: float) -> np.ndarray:
-    """Qubit ket cos(t/2)|0> + e^{i p} sin(t/2)|1> at Bloch angles (theta, phi)."""
-    t, p = reduce_sphere_angles(theta, phi)
+    """Qubit ket cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
     return np.array(
-        [math.cos(t / 2.0), cmath.exp(1j * p) * math.sin(t / 2.0)], dtype=complex
+        [math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)], dtype=complex
     )
 
 
@@ -339,16 +284,12 @@ _BELL_PROJECTORS = {label: projector(bell_state(label)) for label in BellLabel}
 
 @dataclass(frozen=True)
 class BlochAngles:
-    """Bloch-sphere direction, reduced on construction to theta in [0, pi],
-    phi in [0, 2*pi)."""
+    """Bloch-sphere direction at polar angle theta and azimuth phi, as given:
+    two pairs that name one direction give the same density and unit
+    vector, and kets that differ only by a global phase."""
 
     theta: float
     phi: float
-
-    def __post_init__(self):
-        t, p = reduce_sphere_angles(float(self.theta), float(self.phi))
-        object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "phi", p)
 
     def state(self) -> np.ndarray:
         return bloch_to_state(self.theta, self.phi)
@@ -361,13 +302,6 @@ class BlochAngles:
         return np.array(
             [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
         )
-
-
-def pauli_conjugation(mu: int, angles: BlochAngles) -> np.ndarray:
-    """sigma_mu rho sigma_mu for the pure state at the given Bloch angles;
-    flips every Bloch component except the mu-th."""
-    s = pauli(mu)
-    return s @ angles.density() @ s
 
 
 def channel_state(weights) -> np.ndarray:

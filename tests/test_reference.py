@@ -38,13 +38,10 @@ from dipolepair.reference import (
     negativity,
     partial_transpose_a,
     pauli,
-    pauli_conjugation,
     projector,
-    reduce_sphere_angles,
     require_density_matrix,
     require_hermitian,
     thermal_state,
-    trace_norm_hermitian,
 )
 from test_core import (
     B31,
@@ -225,44 +222,12 @@ class TestHermitianEig:
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
-    def test_degenerate_tie_break(self):
-        # eigenvalue 1 is twofold degenerate; columns come back in
-        # lexicographic order of the (phase-fixed) vectors
-        sys = hermitian_eig(np.diag([1.0, 1.0, 0.0]))
-        np.testing.assert_allclose(sys.eigenvalues, [0.0, 1.0, 1.0])
-        np.testing.assert_allclose(sys.eigenvectors[:, 1], [0.0, 1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(sys.eigenvectors[:, 2], [1.0, 0.0, 0.0], atol=1e-12)
-
-    def test_phase_convention(self):
-        sys = hermitian_eig(pauli(2))
-        # largest-magnitude entry of each eigenvector is real positive
-        for k in range(2):
-            col = sys.eigenvectors[:, k]
-            ref = col[int(np.argmax(np.abs(col)))]
-            assert abs(ref.imag) < 1e-15 and ref.real > 0
-
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eig(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_is_eigensystem_type(self):
         assert isinstance(hermitian_eig(np.eye(2)), EigenSystem)
-
-
-class TestTraceNorm:
-    def test_density_matrix_is_one(self):
-        assert trace_norm_hermitian(np.eye(4) / 4) == pytest.approx(1.0, abs=1e-14)
-
-    def test_indefinite(self):
-        assert trace_norm_hermitian(np.diag([1.0, -1.0])) == pytest.approx(2.0)
-
-    def test_partial_transpose_of_bell_state(self):
-        pt = partial_transpose_a(projector(bell_state(BellLabel.PHI_PLUS)))
-        assert trace_norm_hermitian(pt) == pytest.approx(2.0, abs=1e-14)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            trace_norm_hermitian(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
 
 class TestGibbs:
@@ -331,32 +296,6 @@ class TestBlochState:
     def test_normalized(self):
         psi = bloch_to_state(2.3, -4.5)
         assert abs(np.vdot(psi, psi).real - 1.0) < 1e-15
-
-
-class TestAngleReduction:
-    def test_already_canonical(self):
-        assert reduce_sphere_angles(1.0, 2.0) == (1.0, 2.0)
-
-    def test_negative_theta(self):
-        t, p = reduce_sphere_angles(-1.0, 0.5)
-        assert t == pytest.approx(1.0)
-        assert p == pytest.approx(0.5 + math.pi)
-
-    def test_theta_beyond_pi(self):
-        t, p = reduce_sphere_angles(math.pi + 0.25, 0.0)
-        assert t == pytest.approx(math.pi - 0.25)
-        assert p == pytest.approx(math.pi)
-
-    def test_phi_wraps(self):
-        _, p = reduce_sphere_angles(0.5, -0.25)
-        assert p == pytest.approx(2.0 * math.pi - 0.25)
-
-    def test_range_always_canonical(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            t, p = reduce_sphere_angles(rng.uniform(-30, 30), rng.uniform(-30, 30))
-            assert 0.0 <= t <= math.pi
-            assert 0.0 <= p < 2.0 * math.pi
 
 
 class TestHamiltonian:
@@ -581,11 +520,6 @@ class TestNegativityBellDiagonal:
 
 
 class TestBlochAngles:
-    def test_reduced_on_construction(self):
-        ang = BlochAngles(-1.0, 0.5)
-        assert ang.theta == pytest.approx(1.0)
-        assert ang.phi == pytest.approx(0.5 + math.pi)
-
     def test_density_is_pure(self):
         rho = BlochAngles(1.1, 2.2).density()
         np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
@@ -598,32 +532,6 @@ class TestBlochAngles:
             np.testing.assert_allclose(
                 bloch_vector(ang.density()), ang.unit_vector(), atol=1e-13
             )
-
-
-class TestPauliConjugation:
-    def test_identity_leaves_state(self):
-        ang = BlochAngles(0.8, 1.3)
-        np.testing.assert_allclose(pauli_conjugation(0, ang), ang.density())
-
-    def test_x_fixes_x_eigenstate(self):
-        ang = BlochAngles(math.pi / 2, 0.0)  # +x direction
-        np.testing.assert_allclose(
-            pauli_conjugation(1, ang), ang.density(), atol=1e-15
-        )
-
-    def test_flips_other_components(self):
-        rng = np.random.default_rng(62)
-        for _ in range(20):
-            ang = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            n = bloch_vector(ang.density())
-            for mu in range(4):
-                flipped = bloch_vector(pauli_conjugation(mu, ang))
-                expected = n.copy()
-                if mu != 0:
-                    keep = mu - 1
-                    expected = -expected
-                    expected[keep] = n[keep]
-                np.testing.assert_allclose(flipped, expected, atol=1e-13)
 
 
 class TestChannelState:
