@@ -189,6 +189,9 @@ def bisect_root(f: Callable, lo, hi, f_lo, f_hi):
     ignored.
     """
     lo, hi, f_lo, f_hi = (np.array(x, dtype=float) for x in (lo, hi, f_lo, f_hi))
+    # a nan end never lets a bracket settle, and an infinite one is its own midpoint
+    if not (np.isfinite(lo) & np.isfinite(hi)).all():
+        raise ValueError("bisection bracket ends must be finite")
     # nan > 0.0 is False, so a nan end value would read as a negative one
     if not (np.isfinite(f_lo) & np.isfinite(f_hi)).all():
         raise ValueError("bisection bracket end values must be finite")
@@ -222,6 +225,10 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     """
     if not (isinstance(tol, numbers.Real) and tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    try:
+        tol = float(tol)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("tolerance must be a float, got an integer too large for one") from None
     quantity = BoundaryQuantity(quantity)
     field = boundary_field(quantity)
     us, vs = grid.u_coords(), grid.v_coords()

@@ -1,5 +1,6 @@
 """Tests for grid scans, region classification and contour tracing."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,6 +212,19 @@ class TestBisection:
         for f_lo, f_hi in ((math.nan, 0.7), (-0.3, math.nan)):
             with pytest.raises(ValueError, match="end values must be finite"):
                 bisect_root(lambda x: x - 0.3, 0.0, 1.0, f_lo, f_hi)
+        # a nan end never settles, and an infinite one came back as a root;
+        # the field gives up rather than loop forever
+        calls = []
+
+        def field(x):
+            calls.append(x)
+            if len(calls) > 10_000:
+                raise RuntimeError("bisection does not settle")
+            return x
+
+        for lo, hi in ((math.nan, 1.0), (-1.0, math.nan), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="ends must be finite"):
+                bisect_root(field, lo, hi, -1.0, 1.0)
 
     def test_entanglement_onset_on_segment(self):
         field = boundary_field(BoundaryQuantity.NEGATIVITY)
@@ -320,6 +334,13 @@ class TestTraceBoundary:
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
             trace_boundary(BoundaryQuantity.NEGATIVITY, g, tol=0.0)
+        # an integer beyond the float range, and a tolerance that a root
+        # misses but that is no float, so the message cannot format it
+        g = GridSpec(-9.0, 9.0, -9.0, 9.0, 3, 3)
+        with pytest.raises(ValueError, match="integer too large"):
+            trace_boundary(BoundaryQuantity.NEGATIVITY, g, tol=10 ** 400)
+        with pytest.raises(ValueError, match="not below the tolerance 1e-300"):
+            trace_boundary(BoundaryQuantity.NEGATIVITY, g, tol=Fraction(1, 10 ** 300))
 
 
 class TestCsvRows:
