@@ -4,7 +4,6 @@ import os
 import runpy
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 

@@ -1,7 +1,7 @@
 """Layout of the package: the production import path loads `core`, `scan`,
 `shortest` and the CLI and nothing else, so it stays free of the
-definition-level oracles; no module carries an unused import; the public
-namespace resolves; and the README's library example runs.
+definition-level oracles; no module or test file carries an unused import;
+the public namespace resolves; and the README's library example runs.
 
 Standard library only, so the checks run wherever the test suite does.
 """
@@ -17,6 +17,7 @@ import pytest
 import dipolepair
 
 PACKAGE = Path(dipolepair.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 # production is core, scan, shortest and the CLI; `reference` holds the oracles
 LOADED = {
     "import dipolepair": {"dipolepair", "dipolepair.core", "dipolepair.scan",
@@ -61,7 +62,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -79,7 +81,7 @@ def test_every_exported_name_resolves():
 
 
 def test_readme_library_example_runs():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (TESTS.parent / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
