@@ -334,8 +334,8 @@ class TestTraceBoundary:
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
             trace_boundary(BoundaryQuantity.NEGATIVITY, g, tol=0.0)
-        # an integer beyond the float range, and a tolerance that a root
-        # misses but that is no float, so the message cannot format it
+        # an integer beyond the float range, and a Fraction that a root
+        # misses, which the error message formats as a float
         g = GridSpec(-9.0, 9.0, -9.0, 9.0, 3, 3)
         with pytest.raises(ValueError, match="integer too large"):
             trace_boundary(BoundaryQuantity.NEGATIVITY, g, tol=10 ** 400)
