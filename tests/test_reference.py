@@ -20,6 +20,7 @@ from dipolepair.core import CHSH_CLASSICAL_BOUND, CHSH_QUANTUM_BOUND, BellLabel,
 from dipolepair.reference import (
     BlochAngles,
     EigenSystem,
+    NegativityResult,
     average_fidelity_quadrature,
     bell_state,
     bloch_to_state,
@@ -222,6 +223,21 @@ class TestHermitianEig:
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
+    def test_returns_eigh_decomposition(self):
+        rng = np.random.default_rng(23)
+        m = random_hermitian(rng, 4, scale=3.0)
+        vals, vecs = np.linalg.eigh(m)
+        sys = hermitian_eig(m)
+        np.testing.assert_array_equal(sys.eigenvalues, vals)
+        np.testing.assert_array_equal(sys.eigenvectors, vecs)
+
+    def test_degenerate_eigenspace_is_spanned(self):
+        # eigenvalue 1 is twofold degenerate; any basis of its plane will do
+        sys = hermitian_eig(np.diag([1.0, 1.0, 0.0]))
+        np.testing.assert_allclose(sys.eigenvalues, [0.0, 1.0, 1.0])
+        v = sys.eigenvectors[:, 1:]
+        np.testing.assert_allclose(v @ v.conj().T, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eig(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -251,6 +267,16 @@ class TestGibbs:
             direct = expm(-h)
             direct /= np.trace(direct)
             np.testing.assert_allclose(gibbs(h), direct, atol=1e-12)
+
+    def test_covariant_under_unitary_with_degenerate_spectrum(self):
+        # the eigenbasis of a degenerate level is not unique; the state is
+        rng = np.random.default_rng(33)
+        h = np.diag([1.0, 1.0, 0.0, -2.0]).astype(complex)
+        for _ in range(10):
+            u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            np.testing.assert_allclose(
+                gibbs(u @ h @ u.conj().T), u @ gibbs(h) @ u.conj().T, atol=1e-12
+            )
 
     def test_large_spread_stays_finite(self):
         rho = gibbs(np.diag([1000.0, 0.0, -1000.0, 500.0]))
@@ -496,6 +522,21 @@ class TestNegativity:
         with pytest.raises(ValueError):
             negativity(np.diag([1.5, -0.5, 0.0, 0.0]))
 
+    def test_partial_transpose_trace_norm(self):
+        # sum |lambda| is 1 for a separable state and 2 for a Bell state
+        assert np.sum(np.abs(negativity(np.eye(4) / 4).pt_eigenvalues)) == pytest.approx(1.0)
+        for label in BellLabel:
+            evals = negativity(projector(bell_state(label))).pt_eigenvalues
+            assert np.sum(np.abs(evals)) == pytest.approx(2.0, abs=1e-14)
+
+    def test_result_rejects_inconsistent_spectrum(self):
+        # a value other than the negative sum, and a spectrum whose
+        # half trace-norm excess differs from its negative sum
+        with pytest.raises(ValueError, match="inconsistent"):
+            NegativityResult(value=0.0, pt_eigenvalues=[-0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="inconsistent"):
+            NegativityResult(value=0.5, pt_eigenvalues=[-0.5, 0.5, 0.5, 1.5])
+
     def test_separable_mixture_scores_zero(self):
         # equal mixture of |00> and |11> is classically correlated only
         rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
@@ -532,6 +573,20 @@ class TestBlochAngles:
             np.testing.assert_allclose(
                 bloch_vector(ang.density()), ang.unit_vector(), atol=1e-13
             )
+
+
+    def test_equivalent_angles_name_one_state(self):
+        # negative theta, theta beyond pi and a negative phi, each against
+        # the canonical pair of the same direction
+        for given, canonical in (((-1.0, 0.5), (1.0, 0.5 + math.pi)),
+                                 ((math.pi + 0.25, 0.0), (math.pi - 0.25, math.pi)),
+                                 ((0.5, -0.25), (0.5, 2.0 * math.pi - 0.25))):
+            a, b = BlochAngles(*given), BlochAngles(*canonical)
+            assert (a.theta, a.phi) == given
+            np.testing.assert_allclose(a.density(), b.density(), atol=1e-15)
+            np.testing.assert_allclose(a.unit_vector(), b.unit_vector(), atol=1e-15)
+            # the kets differ by a global phase only
+            assert abs(np.vdot(a.state(), b.state())) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestChannelState:
@@ -575,6 +630,24 @@ class TestChannelOutput:
                 np.testing.assert_allclose(
                     bloch_vector(out), lam * ang.unit_vector(), atol=1e-12
                 )
+
+    def test_single_flip_conjugates_by_one_pauli(self):
+        # all weight on the seed relabeled by sigma_mu leaves one correction:
+        # the output is sigma_mu rho sigma_mu, which fixes the mu axis only
+        rng = np.random.default_rng(66)
+        for mu, label in enumerate(SEED_RELABELING[BellLabel.PHI_PLUS]):
+            w = np.zeros(4)
+            w[label] = 1.0
+            for _ in range(5):
+                ang = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+                s = pauli(mu)
+                out = channel_output(w, BellLabel.PHI_PLUS, ang)
+                np.testing.assert_allclose(out, s @ ang.density() @ s, atol=1e-14)
+        x_eigenstate = BlochAngles(math.pi / 2, 0.0)
+        w = np.zeros(4)
+        w[BellLabel.PSI_PLUS] = 1.0
+        out = channel_output(w, BellLabel.PHI_PLUS, x_eigenstate)
+        np.testing.assert_allclose(out, x_eigenstate.density(), atol=1e-15)
 
     def test_invalid_weights_rejected(self):
         # a negative weight, one too few, and a sum other than 1
