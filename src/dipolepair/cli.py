@@ -56,6 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the grid and output options of every grid command
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--u", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
+    grid.add_argument("--v", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
+    grid.add_argument("--out", help="write CSV here instead of stdout")
 
     point = sub.add_parser("point", help="evaluate a single coupling point")
     point.add_argument("--u", type=float, required=True, help="u = Delta/kT")
@@ -66,10 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report negativity doubled, so a Bell state reads 1",
     )
 
-    scan = sub.add_parser("scan", help="evaluate a rectangular grid")
-    scan.add_argument("--u", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
-    scan.add_argument("--v", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
-    scan.add_argument("--out", help="write CSV here instead of stdout")
+    scan = sub.add_parser("scan", parents=[grid], help="evaluate a rectangular grid")
     scan.add_argument(
         "--workers", type=_worker_count, default=1, metavar="N",
         help="accepted for compatibility (N >= 1); output and speed do not depend on it",
@@ -77,23 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--normalized-negativity", action="store_true",
                       help="report negativity doubled, so a Bell state reads 1")
 
-    boundary = sub.add_parser("boundary", help="trace a critical contour")
+    boundary = sub.add_parser("boundary", parents=[grid], help="trace a critical contour")
     boundary.add_argument(
         "--quantity",
         required=True,
         choices=[q.value for q in BoundaryQuantity],
         help="which boundary to trace: chsh=2, negativity onset, fidelity=2/3",
     )
-    boundary.add_argument("--u", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
-    boundary.add_argument("--v", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
     boundary.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL,
                           help="root residual tolerance")
-    boundary.add_argument("--out", help="write CSV here instead of stdout")
 
-    dominant = sub.add_parser("dominant", help="map the dominant Bell component")
-    dominant.add_argument("--u", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
-    dominant.add_argument("--v", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
-    dominant.add_argument("--out", help="write CSV here instead of stdout")
+    sub.add_parser("dominant", parents=[grid], help="map the dominant Bell component")
 
     return parser
 

@@ -92,8 +92,9 @@ def _too_large(name: str) -> ValueError:
     return ValueError(f"{name} must be finite, got an integer too large for a float")
 
 
-def finite_float(name: str, x) -> float:
-    """`x` as a float; ValueError unless it is a finite number."""
+def coupling(name: str, x) -> float:
+    """`x` as a float; ValueError unless it is a finite number within the
+    stability limit, |x| <= COUPLING_LIMIT."""
     try:
         x = float(x)
     except TypeError:  # None and other non-numbers
@@ -102,6 +103,8 @@ def finite_float(name: str, x) -> float:
         raise _too_large(name) from None
     if not (isinstance(x, float) and math.isfinite(x)):
         raise ValueError(f"{name} must be finite, got {x!r}")
+    if abs(x) > COUPLING_LIMIT:
+        raise ValueError(f"|{name}| = {abs(x)!r} exceeds the stability limit {COUPLING_LIMIT}")
     return x
 
 
@@ -114,12 +117,7 @@ class CouplingParams:
 
     def __post_init__(self):
         for name in ("u", "v"):
-            x = finite_float(name, getattr(self, name))
-            if abs(x) > COUPLING_LIMIT:
-                raise ValueError(
-                    f"|{name}| = {abs(x)} exceeds the stability limit {COUPLING_LIMIT}"
-                )
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, coupling(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

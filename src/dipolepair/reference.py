@@ -76,26 +76,26 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m, tol: float = HERMITIAN_INPUT_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(
-            f"{name} is not Hermitian: max |m - m^dag| = {defect:.3e} exceeds {tol:.0e}"
-        )
+    if defect > HERMITIAN_INPUT_TOL:
+        raise ValueError(f"{name} is not Hermitian: max |m - m^dag| = {defect:.3e} "
+                         f"exceeds {HERMITIAN_INPUT_TOL:.0e}")
     return m
 
 
-def require_density_matrix(m, tol: float = HERMITIAN_INPUT_TOL, name: str = "density matrix") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity (within tol); return as complex array."""
-    rho = require_hermitian(m, tol, name)
+def require_density_matrix(m, name: str = "density matrix") -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity, each within
+    HERMITIAN_INPUT_TOL; return as complex array."""
+    rho = require_hermitian(m, name)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > HERMITIAN_INPUT_TOL:
         raise ValueError(f"{name} must have unit trace, got {tr!r}")
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if float(evals[0]) < -tol:
+    if float(evals[0]) < -HERMITIAN_INPUT_TOL:
         raise ValueError(f"{name} is not positive semidefinite: min eigenvalue {evals[0]:.3e}")
     return rho
 
@@ -116,23 +116,23 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_INPUT_TOL) -> EigenSystem:
+def hermitian_eig(m) -> EigenSystem:
     """Ascending eigenvalues and eigenvectors of a Hermitian matrix, as
     `numpy.linalg.eigh` returns them: a degenerate eigenspace's basis and
     each column's phase are eigh's, and `gibbs` depends on neither."""
-    m = require_hermitian(m, tol)
+    m = require_hermitian(m)
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     return EigenSystem(eigenvalues=vals, eigenvectors=vecs)
 
 
-def gibbs(h, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
+def gibbs(h) -> np.ndarray:
     """Thermal density matrix e^{-h} / Tr e^{-h} of a dimensionless Hamiltonian.
 
     The minimum eigenvalue is subtracted before exponentiating, so entries
     stay finite over the whole admissible coupling range instead of
     overflowing for eigenvalue spreads of order 10^3.
     """
-    sys = hermitian_eig(h, tol)
+    sys = hermitian_eig(h)
     w = np.exp(-(sys.eigenvalues - float(sys.eigenvalues.min())))
     rho = (sys.eigenvectors * w) @ sys.eigenvectors.conj().T
     rho /= float(np.trace(rho).real)
@@ -217,14 +217,13 @@ def thermal_state(params: CouplingParams) -> np.ndarray:
 _PAULI_PAIRS = np.array([[kron(pauli(i), pauli(j)) for j in range(4)] for i in range(4)])
 
 
-def fano_marginals(rho, tol: float = HERMITIAN_INPUT_TOL
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fano_marginals(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local Bloch vectors r, s and 3x3 correlation matrix C of a two-qubit state.
 
     r_j = Tr(rho sigma_j x I), s_j = Tr(rho I x sigma_j),
     C_ij = Tr(rho sigma_i x sigma_j), all taken in one contraction.
     """
-    rho = require_density_matrix(rho, tol)
+    rho = require_density_matrix(rho)
     t = np.einsum("ijab,ba->ij", _PAULI_PAIRS, rho).real
     return t[1:, 0], t[0, 1:], t[1:, 1:]
 
@@ -266,10 +265,10 @@ def chsh_max_general(corr_matrix) -> float:
     return 2.0 * math.sqrt(m)
 
 
-def negativity(rho, tol: float = HERMITIAN_INPUT_TOL) -> NegativityResult:
+def negativity(rho) -> NegativityResult:
     """Negativity of an arbitrary two-qubit density matrix, by definition:
     eigendecompose the partial transpose and sum the negative part."""
-    rho = require_density_matrix(rho, tol)
+    rho = require_density_matrix(rho)
     evals = np.linalg.eigvalsh(partial_transpose_a(rho))
     value = float(np.sum(np.maximum(0.0, -evals)))
     return NegativityResult(value=value, pt_eigenvalues=evals)
@@ -342,9 +341,9 @@ def _teleport(weights, k0: BellLabel, rho_in: np.ndarray) -> np.ndarray:
     return out
 
 
-def fidelity_pointwise(angles: BlochAngles, output, tol: float = HERMITIAN_INPUT_TOL) -> float:
+def fidelity_pointwise(angles: BlochAngles, output) -> float:
     """Overlap <psi_in| rho_out |psi_in> of the teleported state with its input."""
-    rho = require_density_matrix(output, tol, name="channel output")
+    rho = require_density_matrix(output, name="channel output")
     psi = angles.state()
     return float((psi.conj() @ rho @ psi).real)
 

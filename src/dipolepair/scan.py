@@ -18,6 +18,7 @@ the centre).
 from __future__ import annotations
 
 import numbers
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import core, shortest
-from .core import COUPLING_LIMIT, BellLabel, CouplingParams, Region
+from .core import BellLabel, CouplingParams, Region
 
 GRID_POINT_LIMIT = 10 ** 8
 DEFAULT_ROOT_TOL = 1e-9
@@ -68,12 +69,7 @@ class GridSpec:
         # bounds are checked before any axis is built: the step (max - min)
         # / (count - 1) of bounds near the float range overflows
         for name in ("u_min", "u_max", "v_min", "v_max"):
-            x = core.finite_float(name, getattr(self, name))
-            if abs(x) > COUPLING_LIMIT:
-                raise ValueError(
-                    f"|{name}| = {abs(x)!r} exceeds the stability limit {COUPLING_LIMIT}"
-                )
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, core.coupling(name, getattr(self, name)))
         for name in ("nu", "nv"):
             n = getattr(self, name)
             try:
@@ -86,15 +82,9 @@ class GridSpec:
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must satisfy min < max on both axes")
         # coordinates grow with the index, so the end points are the extremes;
-        # the last one can overshoot max by an ulp
-        for name, lo, hi, n in (("u", self.u_min, self.u_max, self.nu),
-                                ("v", self.v_min, self.v_max, self.nv)):
-            for x in _axis(lo, hi, n, np.array([0, n - 1])).tolist():
-                if abs(x) > COUPLING_LIMIT:
-                    raise ValueError(
-                        f"grid reaches |{name}| = {abs(x)!r}, beyond the stability "
-                        f"limit {COUPLING_LIMIT}"
-                    )
+        # the first is the min bound, and the last can overshoot max by an ulp
+        core.coupling("u", _axis(self.u_min, self.u_max, self.nu, self.nu - 1))
+        core.coupling("v", _axis(self.v_min, self.v_max, self.nv, self.nv - 1))
         if self.nu * self.nv > GRID_POINT_LIMIT:
             raise GridTooLargeError(
                 f"grid has {self.nu} * {self.nv} = {self.nu * self.nv} points, "
@@ -108,7 +98,7 @@ class GridSpec:
         return _axis(self.v_min, self.v_max, self.nv, np.arange(self.nv))
 
 
-def _axis(lo: float, hi: float, n: int, indices: np.ndarray) -> np.ndarray:
+def _axis(lo: float, hi: float, n: int, indices: np.ndarray | int) -> np.ndarray | float:
     return lo + indices * ((hi - lo) / (n - 1))
 
 
@@ -223,12 +213,15 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     smallest edge id (horizontal edges before vertical, then by u index,
     then by v index).  A root that misses the tolerance raises ValueError.
     """
-    if not (isinstance(tol, numbers.Real) and tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    # positive as given and as the float that the residuals are held to,
+    # which a tiny Fraction or long double rounds to 0.0
     try:
-        tol = float(tol)
+        ok = isinstance(tol, numbers.Real) and tol > 0.0 and float(tol) > 0.0
     except OverflowError:  # an integer beyond the float range
         raise ValueError("tolerance must be a float, got an integer too large for one") from None
+    if not ok:
+        raise ValueError(f"tolerance must be positive, got {reprlib.repr(tol)}")
+    tol = float(tol)
     quantity = BoundaryQuantity(quantity)
     field = boundary_field(quantity)
     us, vs = grid.u_coords(), grid.v_coords()

@@ -11,6 +11,7 @@ eigendecomposition; the fidelity from explicit Kraus conjugations and a
 400 x 400 dense sphere quadrature.
 """
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,13 @@ from dipolepair.scan import (
     evaluate_point,
     trace_boundary,
 )
+
+
+
+def beyond_limit(name: str, x: float) -> str:
+    """The whole message of `core.coupling` for a value beyond the limit, as a pattern."""
+    return "^" + re.escape(f"|{name}| = {x!r} exceeds the stability limit 2000.0") + "$"
+
 
 # frozen oracle values at (u, v) = (3, 1)
 W31 = {
@@ -213,8 +221,10 @@ class TestCouplingParams:
             CouplingParams(0.0, math.inf)
 
     def test_rejects_beyond_stability_limit(self):
-        with pytest.raises(ValueError, match="stability limit"):
+        with pytest.raises(ValueError, match=beyond_limit("u", 2001.0)):
             CouplingParams(COUPLING_LIMIT + 1.0, 0.0)
+        with pytest.raises(ValueError, match=beyond_limit("v", 2000.5)):
+            CouplingParams(0.0, -2000.5)
         CouplingParams(COUPLING_LIMIT, -COUPLING_LIMIT)
 
 

@@ -1,7 +1,8 @@
 """Layout of the package: the production import path loads `core`, `scan`,
 `shortest` and the CLI and nothing else, so it stays free of the
 definition-level oracles; no module or test file carries an unused import;
-the public namespace resolves; and the README's library example runs.
+only `core` names the stability limit; the public namespace resolves; and the
+README's library example runs.
 
 Standard library only, so the checks run wherever the test suite does.
 """
@@ -71,6 +72,26 @@ def test_no_unused_top_level_import(path):
 def test_unused_import_check_sees_an_unused_name():
     source = "import math\nimport numpy as np\nfrom .x import a, b\n__all__ = ['b']\nnp.ones(a)\n"
     assert unused_imports(source) == ["math (line 1)"]
+
+
+def names_in(source: str) -> set[str]:
+    """Every identifier a module reads, binds, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_only_core_names_the_coupling_limit():
+    # every other module checks couplings through `core`; `__init__` re-exports the constant
+    naming = [p.name for p in sorted(PACKAGE.glob("*.py"))
+              if "COUPLING_LIMIT" in names_in(p.read_text())]
+    assert naming == ["__init__.py", "core.py"]
 
 
 def test_every_exported_name_resolves():

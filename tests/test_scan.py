@@ -22,6 +22,7 @@ from dipolepair.scan import (
     scan_rows,
     trace_boundary,
 )
+from test_core import beyond_limit
 
 # independently frozen root of max weight = 1/2 along v = 1 (brentq oracle)
 U_STAR_V1 = 2.679576426508122
@@ -56,17 +57,19 @@ class TestGridSpec:
                 GridSpec(*bounds, 2, 2)
 
     def test_rejects_bounds_beyond_stability_limit(self):
-        with pytest.raises(ValueError, match="stability limit"):
+        with pytest.raises(ValueError, match=beyond_limit("u_min", 3000.0)):
             GridSpec(-3000.0, 0.0, 0.0, 1.0, 3, 3)
-        with pytest.raises(ValueError, match="stability limit"):
+        with pytest.raises(ValueError, match=beyond_limit("v_max", 2000.5)):
             GridSpec(0.0, 1.0, 0.0, 2000.5, 3, 3)
         # finite bounds whose axis step overflows: rejected as bounds, by
         # their own size, before any axis arithmetic can warn
-        with pytest.raises(ValueError, match=r"^\|u_min\| = 1\.7e\+308 exceeds the stability"):
+        with pytest.raises(ValueError, match=beyond_limit("u_min", 1.7e308)):
             GridSpec(-1.7e308, 1.7e308, 0.0, 1.0, 2, 2)
-        # the last u coordinate of this axis rounds an ulp past 2000
-        with pytest.raises(ValueError, match="stability limit"):
+        # the last coordinate of these axes rounds past 2000
+        with pytest.raises(ValueError, match=beyond_limit("u", 2000.0000000000005)):
             GridSpec(-2000.0, 2000.0, 0.0, 1.0, 16, 2)
+        with pytest.raises(ValueError, match=beyond_limit("v", 2000.0000000000005)):
+            GridSpec(0.0, 1.0, -2000.0, 2000.0, 2, 16)
         assert GridSpec(-2000.0, 2000.0, -2000.0, 2000.0, 41, 41).u_coords()[-1] == 2000.0
 
     def test_point_budget(self):
@@ -341,6 +344,10 @@ class TestTraceBoundary:
             trace_boundary(BoundaryQuantity.NEGATIVITY, g, tol=10 ** 400)
         with pytest.raises(ValueError, match="not below the tolerance 1e-300"):
             trace_boundary(BoundaryQuantity.NEGATIVITY, g, tol=Fraction(1, 10 ** 300))
+        # positive values that round to 0.0 as floats are not positive tolerances
+        for tol in (Fraction(1, 10 ** 400), np.longdouble("1e-400")):
+            with pytest.raises(ValueError, match="^tolerance must be positive, got "):
+                trace_boundary(BoundaryQuantity.NEGATIVITY, g, tol=tol)
 
 
 class TestCsvRows:
