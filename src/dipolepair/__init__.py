@@ -11,14 +11,14 @@ from .core import (
     COUPLING_LIMIT,
     BellLabel,
     CouplingParams,
+    Region,
+    ScanRecord,
 )
 from .scan import (
     BoundaryQuantity,
     ContourPolyline,
     GridSpec,
     GridTooLargeError,
-    Region,
-    ScanRecord,
     evaluate_point,
     trace_boundary,
 )

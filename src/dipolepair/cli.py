@@ -61,23 +61,20 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--u", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
     grid.add_argument("--v", type=_range_spec, required=True, metavar="MIN:MAX:COUNT")
     grid.add_argument("--out", help="write CSV here instead of stdout")
+    # the negativity scale of every command that reports it
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--normalized-negativity", action="store_true",
+                       help="report negativity doubled, so a Bell state reads 1")
 
-    point = sub.add_parser("point", help="evaluate a single coupling point")
+    point = sub.add_parser("point", parents=[scale], help="evaluate a single coupling point")
     point.add_argument("--u", type=float, required=True, help="u = Delta/kT")
     point.add_argument("--v", type=float, required=True, help="v = eps/kT")
-    point.add_argument(
-        "--normalized-negativity",
-        action="store_true",
-        help="report negativity doubled, so a Bell state reads 1",
-    )
 
-    scan = sub.add_parser("scan", parents=[grid], help="evaluate a rectangular grid")
+    scan = sub.add_parser("scan", parents=[grid, scale], help="evaluate a rectangular grid")
     scan.add_argument(
         "--workers", type=_worker_count, default=1, metavar="N",
         help="accepted for compatibility (N >= 1); output and speed do not depend on it",
     )
-    scan.add_argument("--normalized-negativity", action="store_true",
-                      help="report negativity doubled, so a Bell state reads 1")
 
     boundary = sub.add_parser("boundary", parents=[grid], help="trace a critical contour")
     boundary.add_argument(

@@ -135,6 +135,20 @@ class PhaseArrays:
     region: np.ndarray
 
 
+@dataclass(frozen=True)
+class ScanRecord:
+    """Reported quantities at one coupling point."""
+
+    u: float
+    v: float
+    chsh: float
+    negativity: float
+    fidelity: float
+    dominant_weight: float
+    dominant_label: BellLabel
+    region: Region
+
+
 def _points(u, v) -> tuple[np.ndarray, np.ndarray]:
     """u and v broadcast against each other, as flat float arrays with one
     entry per point."""
@@ -210,9 +224,9 @@ def evaluate(u, v) -> PhaseArrays:
                        dominant_weight=w_max, region=region)
 
 
-def evaluate_one(u, v) -> tuple:
-    """`evaluate` at the single point (u, v), as Python scalars: the fields
-    of `PhaseArrays` in order, with `dominant` and `region` as indices.
+def evaluate_one(u, v) -> ScanRecord:
+    """`evaluate` at the single point (u, v), as a record of Python floats
+    and the dominant label and region themselves.
 
     It keeps `weights`' input checks and their messages, and repeats the
     array core's arithmetic in the same order, so each value equals the
@@ -243,4 +257,5 @@ def evaluate_one(u, v) -> tuple:
     negativity = max(0.0, w_max - 0.5)
     region = (0 if negativity < SEPARABLE_NEGATIVITY_TOL
               else 2 if chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL else 1)
-    return u, v, chsh, negativity, (1.0 + 2.0 * w_max) / 3.0, best, w_max, region
+    return ScanRecord(u, v, chsh, negativity, (1.0 + 2.0 * w_max) / 3.0, w_max,
+                      LABELS[best], REGIONS[region])

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import core, shortest
-from .core import BellLabel, CouplingParams, Region
+from .core import CouplingParams, ScanRecord
 
 GRID_POINT_LIMIT = 10 ** 8
 DEFAULT_ROOT_TOL = 1e-9
@@ -54,8 +54,8 @@ class GridTooLargeError(ValueError):
 class GridSpec:
     """Uniform rectangular grid over the coupling plane.
 
-    Coordinates follow min + i * (max - min) / (count - 1), so corners land
-    exactly on the requested bounds.
+    Coordinates follow min + i * ((max - min) / (count - 1)): the first is
+    exactly min, and the last can miss max by rounding.
     """
 
     u_min: float
@@ -81,15 +81,17 @@ class GridSpec:
             object.__setattr__(self, name, int(n))
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must satisfy min < max on both axes")
+        # the budget comes before any coordinate, whose step cannot divide by a
+        # count beyond the float range; reprlib shortens such a count's digits
+        if self.nu * self.nv > GRID_POINT_LIMIT:
+            raise GridTooLargeError(
+                f"grid has {reprlib.repr(self.nu)} * {reprlib.repr(self.nv)} = "
+                f"{reprlib.repr(self.nu * self.nv)} points, budget is {GRID_POINT_LIMIT}"
+            )
         # coordinates grow with the index, so the end points are the extremes;
         # the first is the min bound, and the last can overshoot max by an ulp
         core.coupling("u", _axis(self.u_min, self.u_max, self.nu, self.nu - 1))
         core.coupling("v", _axis(self.v_min, self.v_max, self.nv, self.nv - 1))
-        if self.nu * self.nv > GRID_POINT_LIMIT:
-            raise GridTooLargeError(
-                f"grid has {self.nu} * {self.nv} = {self.nu * self.nv} points, "
-                f"budget is {GRID_POINT_LIMIT}"
-            )
 
     def u_coords(self) -> np.ndarray:
         return _axis(self.u_min, self.u_max, self.nu, np.arange(self.nu))
@@ -100,20 +102,6 @@ class GridSpec:
 
 def _axis(lo: float, hi: float, n: int, indices: np.ndarray | int) -> np.ndarray | float:
     return lo + indices * ((hi - lo) / (n - 1))
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    """One evaluated grid point."""
-
-    u: float
-    v: float
-    chsh: float
-    negativity: float
-    fidelity: float
-    dominant_weight: float
-    dominant_label: BellLabel
-    region: Region
 
 
 def evaluate_grid(grid: GridSpec) -> Iterator[core.PhaseArrays]:
@@ -131,10 +119,7 @@ def evaluate_point(params: CouplingParams) -> ScanRecord:
     """All reported quantities of the thermal state at one coupling point,
     from the core's scalar twin `core.evaluate_one`; equal to the bit to
     `core.evaluate` at that point."""
-    u, v, chsh, negativity, fidelity, dominant, weight, region = core.evaluate_one(
-        params.u, params.v)
-    return ScanRecord(u, v, chsh, negativity, fidelity, weight,
-                      core.LABELS[dominant], core.REGIONS[region])
+    return core.evaluate_one(params.u, params.v)
 
 
 def _field_values(quantity: BoundaryQuantity, p: core.PhaseArrays) -> np.ndarray:
@@ -349,11 +334,8 @@ def _slice_reprs(b: core.PhaseArrays, columns: list[np.ndarray]
 def _chunk(fields: list[np.ndarray]) -> str:
     """The rows made of byte fields side by side, as one text; a field
     with one row is repeated on every row."""
-    rows = np.empty((max(map(len, fields)), sum(f.shape[1] for f in fields)), np.uint8)
-    at = 0
-    for f in fields:
-        rows[:, at:at + f.shape[1]] = f
-        at += f.shape[1]
+    n = max(map(len, fields))
+    rows = np.concatenate([np.broadcast_to(f, (n, f.shape[1])) for f in fields], axis=1)
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 

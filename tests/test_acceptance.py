@@ -116,7 +116,7 @@ def test_criterion_4_fidelity_quadrature_matches_closed_form():
         closed = [(1.0 + 2.0 * w[label]) / 3.0 for label in BellLabel]
         # the core's fidelity is the best seed's
         worst = max(worst, *(abs(q - c) for q, c in zip(quads, closed)),
-                    abs(max(quads) - core.evaluate_one(p.u, p.v)[4]))
+                    abs(max(quads) - core.evaluate_one(p.u, p.v).fidelity))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 5.0
     report(4, ok,
@@ -126,11 +126,12 @@ def test_criterion_4_fidelity_quadrature_matches_closed_form():
 
 
 def test_criterion_5_strong_coupling_limits():
-    _, _, chsh, neg, fid, label, weight, _ = core.evaluate_one(30.0, 0.0)
-    label_high = core.LABELS[core.evaluate_one(-10.0, 10.0)[5]]
-    label_low = core.LABELS[core.evaluate_one(-10.0, -10.0)[5]]
+    rec = core.evaluate_one(30.0, 0.0)
+    weight, neg, chsh, fid = rec.dominant_weight, rec.negativity, rec.chsh, rec.fidelity
+    label_high = core.evaluate_one(-10.0, 10.0).dominant_label
+    label_low = core.evaluate_one(-10.0, -10.0).dominant_label
     ok = (
-        label == BellLabel.PSI_PLUS
+        rec.dominant_label is BellLabel.PSI_PLUS
         and abs(weight - 1.0) < 1e-4
         and abs(neg - 0.5) < 1e-4
         and abs(chsh - CHSH_QUANTUM_BOUND) < 1e-3
@@ -151,7 +152,8 @@ def test_criterion_6_classical_threshold_and_affine_identity():
     worst = 0.0
     for _ in range(500):
         u, v = rng.uniform(-12.0, 12.0, 2).tolist()
-        fidelity, weight = (core.evaluate_one(u, v)[k] for k in (4, 6))
+        rec = core.evaluate_one(u, v)
+        fidelity, weight = rec.fidelity, rec.dominant_weight
         lhs = fidelity - 2.0 / 3.0
         rhs = (2.0 / 3.0) * (weight - 0.5)
         worst = max(worst, abs(lhs - rhs))
@@ -235,7 +237,8 @@ def test_criterion_8_boundary_coincidence_and_nesting():
 def test_criterion_9_degenerate_ground_state():
     w = core.weights(-6.0, 0.0)[0]
     w_plus, w_minus = w[BellLabel.PHI_PLUS], w[BellLabel.PHI_MINUS]
-    _, _, _, neg_closed, best, _, _, _ = core.evaluate_one(-6.0, 0.0)
+    rec = core.evaluate_one(-6.0, 0.0)
+    neg_closed, best = rec.negativity, rec.fidelity
     neg_full = negativity(thermal_state(CouplingParams(-6.0, 0.0))).value
     ok = (
         w_plus == w_minus

@@ -279,12 +279,14 @@ EDGE_NUMBERS = ["0", "-0", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-
                 str(10 ** 400), "-2000", "2000", "2000.0000000001", "-3", "0.5", "3"]
 numbers = st.one_of(st.sampled_from(EDGE_NUMBERS),
                     st.floats(-5.0, 5.0, allow_nan=False).map(repr))
-counts = st.sampled_from([0, 1, 2, 3, 2 ** 63])
+# counts beyond 2^63 and beyond the float range, which the point budget rejects
+HUGE_COUNTS = [2 ** 63, 2 ** 64, 10 ** 400]
+counts = st.sampled_from([0, 1, 2, 3] + HUGE_COUNTS)
 # half the axes are well formed, so that grids run as well as fail
 axes = st.one_of(
     st.builds("{}:{}:{}".format, numbers, numbers, counts),
     st.builds(lambda lo, span, n: f"{lo!r}:{lo + span!r}:{n}", st.floats(-5.0, 4.0),
-              st.floats(0.01, 1.0), st.sampled_from([2, 3, 2 ** 63])))
+              st.floats(0.01, 1.0), st.sampled_from([2, 3] + HUGE_COUNTS)))
 tolerances = st.one_of(st.just("1e-9"), st.sampled_from(
     ["0", "-0", "-1e-9", "5e-324", "1e-300", "1e308", "inf", "-inf", "nan"]))
 HEADERS = {"point": "u,v,chsh,", "scan": "u,v,chsh,", "dominant": "u,v,dominant_label,",

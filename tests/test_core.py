@@ -79,18 +79,18 @@ def correlations(p):
 
 
 def chsh(p):
-    return core.evaluate_one(p.u, p.v)[2]
+    return core.evaluate_one(p.u, p.v).chsh
 
 
 def closed_negativity(p):
-    return core.evaluate_one(p.u, p.v)[3]
+    return core.evaluate_one(p.u, p.v).negativity
 
 
 def fidelity_and_seed(u, v):
     """The core's best average fidelity and the seed (dominant label) that
     reaches it."""
-    _, _, _, _, fidelity, label, _, _ = core.evaluate_one(u, v)
-    return fidelity, BellLabel(label)
+    rec = core.evaluate_one(u, v)
+    return rec.fidelity, rec.dominant_label
 
 
 def test_matches_evaluate_point_at_scattered_points():
@@ -111,8 +111,11 @@ def test_matches_evaluate_point_at_scattered_points():
                 rec.chsh, rec.negativity, rec.fidelity, rec.dominant_weight)
             assert core.LABELS[b.dominant[k]] is rec.dominant_label
             assert core.REGIONS[b.region[k]] is rec.region
+            # all eight fields to the bit, which == does not see (0.0 == -0.0)
             one = core.evaluate_one(uk, vk)
-            assert np.array_equal(np.array(one, dtype=float).view(np.int64),
+            fields = [one.u, one.v, one.chsh, one.negativity, one.fidelity,
+                      one.dominant_label, one.dominant_weight, core.REGIONS.index(one.region)]
+            assert np.array_equal(np.array(fields, dtype=float).view(np.int64),
                                   np.array([getattr(b, f)[k] for f in vars(b)],
                                            dtype=float).view(np.int64))
 
@@ -264,10 +267,9 @@ class TestSpectrum:
         assert float(w.sum()) == pytest.approx(1.0)
 
     def test_dominant_tie_break(self):
-        # evaluate_one returns the dominant label's index and its weight
-        _, _, _, _, _, label, weight, _ = core.evaluate_one(0.0, 0.0)
-        assert label == BellLabel.PHI_PLUS and weight == 0.25
-        assert core.evaluate_one(30.0, 0.0)[5] == BellLabel.PSI_PLUS
+        rec = core.evaluate_one(0.0, 0.0)
+        assert rec.dominant_label is BellLabel.PHI_PLUS and rec.dominant_weight == 0.25
+        assert core.evaluate_one(30.0, 0.0).dominant_label is BellLabel.PSI_PLUS
 
 
 class TestThermalState:
@@ -318,9 +320,9 @@ class TestChshClosedForm:
         assert chsh(CouplingParams(3.0, 1.0)) == pytest.approx(B31, abs=1e-14)
 
     def test_deep_ground_state_approaches_bound(self):
-        _, _, value, _, _, _, _, region = core.evaluate_one(30.0, 0.0)
-        assert abs(value - CHSH_QUANTUM_BOUND) < 1e-3
-        assert core.REGIONS[region] is Region.NONLOCAL
+        rec = core.evaluate_one(30.0, 0.0)
+        assert abs(rec.chsh - CHSH_QUANTUM_BOUND) < 1e-3
+        assert rec.region is Region.NONLOCAL
 
 
 class TestNegativityBellDiagonal:

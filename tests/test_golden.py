@@ -21,7 +21,7 @@ import hashlib
 
 import pytest
 
-from dipolepair import scan
+from dipolepair import core, scan
 from dipolepair.cli import run_cli
 
 ENVELOPE = ["--u", "-2000:2000:41", "--v", "-2000:2000:41"]
@@ -96,7 +96,7 @@ def _no_record(*args, **kwargs):
 
 
 def test_cli_rows_build_no_scan_record(monkeypatch, capsys):
-    monkeypatch.setattr(scan, "ScanRecord", _no_record)
+    monkeypatch.setattr(core, "ScanRecord", _no_record)
     for argv, digest in GOLDEN:
         if argv[0] in ("point", "scan", "dominant"):
             assert _digest(argv, capsys) == digest, argv

@@ -1,6 +1,7 @@
 """Layout of the package: the production import path loads `core`, `scan`,
 `shortest` and the CLI and nothing else, so it stays free of the
-definition-level oracles; no module or test file carries an unused import;
+definition-level oracles; each production module's load-time imports are
+pinned; no module or test file carries an unused import;
 only `core` names the stability limit; the public namespace resolves; and the
 README's library example runs.
 
@@ -92,6 +93,37 @@ def test_only_core_names_the_coupling_limit():
     naming = [p.name for p in sorted(PACKAGE.glob("*.py"))
               if "COUPLING_LIMIT" in names_in(p.read_text())]
     assert naming == ["__init__.py", "core.py"]
+
+
+# the absolute imports each production module runs when it loads, by top
+# package; a new one slows `import dipolepair.cli` and has to be added here
+LOAD_TIME_IMPORTS = {
+    "__init__.py": set(),
+    "__main__.py": set(),
+    "cli.py": {"argparse", "os", "sys", "typing"},
+    "core.py": {"dataclasses", "enum", "math", "numpy", "reprlib"},
+    "scan.py": {"dataclasses", "enum", "numbers", "numpy", "reprlib", "typing"},
+    "shortest.py": {"functools", "numpy"},
+}
+
+
+def load_time_imports(source: str) -> set[str]:
+    """Top packages of the absolute imports in a module's top-level
+    statements, `__future__` aside."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_production_load_time_imports_are_pinned():
+    # `reference` holds the oracles, which production does not load
+    found = {p.name: load_time_imports(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "reference.py"}
+    assert found == LOAD_TIME_IMPORTS
 
 
 def test_every_exported_name_resolves():

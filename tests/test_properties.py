@@ -25,13 +25,13 @@ from dipolepair.core import (
     COUPLING_LIMIT,
     BellLabel,
     CouplingParams,
+    Region,
 )
 from dipolepair.reference import chsh_max_general, fano_marginals, thermal_state
 from dipolepair.scan import (
     DEFAULT_ROOT_TOL,
     BoundaryQuantity,
     GridSpec,
-    Region,
     bisect_root,
     boundary_field,
     dominant_rows,

@@ -1,18 +1,18 @@
 """Tests for grid scans, region classification and contour tracing."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dipolepair import core
-from dipolepair.core import BellLabel, CouplingParams
+from dipolepair.core import BellLabel, CouplingParams, Region
 from dipolepair.scan import (
     GRID_POINT_LIMIT,
     BoundaryQuantity,
     GridSpec,
     GridTooLargeError,
-    Region,
     bisect_root,
     boundary_field,
     boundary_rows,
@@ -33,6 +33,11 @@ class TestGridSpec:
         g = GridSpec(0.0, 1.0, -1.0, 1.0, 2, 3)
         np.testing.assert_array_equal(g.u_coords(), [0.0, 1.0])
         np.testing.assert_array_equal(g.v_coords(), [-1.0, 0.0, 1.0])
+        # min + i * ((max - min) / (count - 1)), which the output bytes are
+        # held to: the last coordinate is not snapped onto max
+        g = GridSpec(-10.555095128477667, 7.654342944142182, 0.0, 1.0, 109, 2)
+        assert g.u_coords()[0] == -10.555095128477667
+        assert g.u_coords()[-1] == 7.654342944142183
 
     def test_corners_exact(self):
         g = GridSpec(-10.0, 10.0, -10.0, 10.0, 81, 81)
@@ -73,8 +78,15 @@ class TestGridSpec:
         assert GridSpec(-2000.0, 2000.0, -2000.0, 2000.0, 41, 41).u_coords()[-1] == 2000.0
 
     def test_point_budget(self):
-        with pytest.raises(GridTooLargeError):
+        with pytest.raises(GridTooLargeError, match=re.escape(
+                "grid has 100000 * 10000 = 1000000000 points, budget is 100000000")):
             GridSpec(0.0, 1.0, 0.0, 1.0, 100_000, 10_000)
+        # a count beyond the float range meets the budget before any
+        # coordinate divides by it, and counts of over 40 digits are shortened
+        big = "00000000000000000...0000000000000000000"
+        with pytest.raises(GridTooLargeError, match=re.escape(
+                f"grid has 1{big} * 2 = 2{big} points, budget is 100000000")):
+            GridSpec(0.0, 1.0, 0.0, 1.0, 10 ** 400, 2)
         # the guard subclasses ValueError so generic handling still works
         assert issubclass(GridTooLargeError, ValueError)
 
