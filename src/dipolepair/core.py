@@ -108,16 +108,16 @@ def coupling(name: str, x) -> float:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CouplingParams:
     """Dimensionless couplings u = Delta/(k_B T), v = eps/(k_B T)."""
 
     u: float
     v: float
 
-    def __post_init__(self):
-        for name in ("u", "v"):
-            object.__setattr__(self, name, coupling(name, getattr(self, name)))
+    def __init__(self, u, v):
+        object.__setattr__(self, "u", coupling("u", u))
+        object.__setattr__(self, "v", coupling("v", v))
 
 
 @dataclass(frozen=True)
@@ -153,16 +153,15 @@ def _points(u, v) -> tuple[np.ndarray, np.ndarray]:
     """u and v broadcast against each other, as flat float arrays with one
     entry per point."""
     arrays = []
-    for name, x in (("u", u), ("v", v)):
-        try:
-            arrays.append(np.asarray(x, dtype=float))
-        except OverflowError:  # an integer beyond the float range
-            raise _too_large(name) from None
-        except TypeError:  # complex and other non-numbers
-            raise ValueError(f"{name} must be finite, got {reprlib.repr(x)}") from None
-    u, v = arrays
-    if u.shape != v.shape:
-        u, v = np.broadcast_arrays(u, v)
+    with np.errstate(over="ignore"):  # a long double beyond the float range reads as inf
+        for name, x in (("u", u), ("v", v)):
+            try:
+                arrays.append(np.asarray(x, dtype=float))
+            except OverflowError:  # an integer beyond the float range
+                raise _too_large(name) from None
+            except TypeError:  # complex and other non-numbers
+                raise ValueError(f"{name} must be finite, got {reprlib.repr(x)}") from None
+    u, v = arrays if arrays[0].shape == arrays[1].shape else np.broadcast_arrays(*arrays)
     return u.ravel(), v.ravel()
 
 
@@ -252,8 +251,9 @@ def evaluate_one(u, v) -> ScanRecord:
     b = (-pp + pm + sp - sm) ** 2.0
     s = (pp + pm - sp - sm) ** 2.0
     chsh = 2.0 * math.sqrt(max(a + b, a + s, b + s))
-    best = max(range(4), key=w.__getitem__)
-    w_max = w[best]
+    # index finds the first maximal weight, the same tie rule as np.argmax
+    w_max = max(w)
+    best = w.index(w_max)
     negativity = max(0.0, w_max - 0.5)
     region = (0 if negativity < SEPARABLE_NEGATIVITY_TOL
               else 2 if chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL else 1)

@@ -160,10 +160,20 @@ def bisect_root(f: Callable, lo, hi, f_lo, f_hi):
     Purely sign-driven: two fields that are positive multiples of each
     other walk the identical interval sequence and land on the same root.
     Arrays of brackets walk in lockstep, each as it would alone; `f` then
-    maps an array shaped like `lo`, and entries of settled brackets are
-    ignored.
+    maps an array of the four arguments' broadcast shape, and entries of
+    settled brackets are ignored.  Ends and end values must be finite
+    floats, or it raises ValueError.
     """
-    lo, hi, f_lo, f_hi = (np.array(x, dtype=float) for x in (lo, hi, f_lo, f_hi))
+    arrays = []
+    with np.errstate(over="ignore"):  # a long double beyond the float range reads as inf
+        for x in (lo, hi, f_lo, f_hi):
+            try:
+                arrays.append(np.asarray(x, dtype=float))
+            except (TypeError, OverflowError):  # complex and other non-numbers, a huge int
+                arrays.append(np.array(np.nan))  # not finite, so rejected below
+    # one bracket per entry of the four broadcast together, copied, since the
+    # ends move in place
+    lo, hi, f_lo, f_hi = (a.copy() for a in np.broadcast_arrays(*arrays))
     # a nan end never lets a bracket settle, and an infinite one is its own midpoint
     if not (np.isfinite(lo) & np.isfinite(hi)).all():
         raise ValueError("bisection bracket ends must be finite")
@@ -198,10 +208,12 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     smallest edge id (horizontal edges before vertical, then by u index,
     then by v index).  A root that misses the tolerance raises ValueError.
     """
-    # positive as given and as the float that the residuals are held to,
-    # which a tiny Fraction or long double rounds to 0.0
+    # a real number, positive as given and as the float that the residuals
+    # are held to, which a tiny Fraction or long double rounds to 0.0
+    if not isinstance(tol, numbers.Real):
+        raise ValueError(f"tolerance must be a real number, got {reprlib.repr(tol)}")
     try:
-        ok = isinstance(tol, numbers.Real) and tol > 0.0 and float(tol) > 0.0
+        ok = tol > 0.0 and float(tol) > 0.0
     except OverflowError:  # an integer beyond the float range
         raise ValueError("tolerance must be a float, got an integer too large for one") from None
     if not ok:

@@ -312,8 +312,7 @@ def command_lines(draw):
     return argv, None if command == "point" else draw(out_paths)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=200,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command_lines())
 def test_cli_fuzz_exits_cleanly(tmp_path, capsys, case):
     argv, out = case

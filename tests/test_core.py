@@ -10,7 +10,9 @@ value and negativity from the same matrix exponential and an
 eigendecomposition; the fidelity from explicit Kraus conjugations and a
 400 x 400 dense sphere quadrature.
 """
+import dataclasses
 import math
+import pickle
 import re
 from types import SimpleNamespace
 
@@ -154,8 +156,8 @@ GRID3 = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
     (lambda: core.evaluate(0.0, [1.0, 1j]), r"v must be finite, got \[1\.0, 1j\]"),
     (lambda: core.evaluate_one(1 + 2j, 1.0), r"u must be finite, got \(1\+2j\)"),
     (lambda: boundary_field("chsh")(1j, 0.0), "u must be finite, got 1j"),
-    (lambda: trace_boundary("chsh", GRID3, tol=None), "tolerance must be positive, got None"),
-    (lambda: trace_boundary("chsh", GRID3, tol="x"), "tolerance must be positive, got 'x'"),
+    (lambda: trace_boundary("chsh", GRID3, tol=None), "tolerance must be a real number, got None"),
+    (lambda: trace_boundary("chsh", GRID3, tol="x"), "tolerance must be a real number, got 'x'"),
 ], ids=["evaluate-complex", "evaluate-object", "evaluate-v", "evaluate_one",
         "boundary_field", "tol-none", "tol-string"])
 def test_a_non_number_is_a_value_error(call, message):
@@ -230,6 +232,27 @@ class TestCouplingParams:
             CouplingParams(0.0, -2000.5)
         CouplingParams(COUPLING_LIMIT, -COUPLING_LIMIT)
 
+    def test_behaves_as_a_frozen_dataclass_checked_once(self, monkeypatch):
+        p = CouplingParams(v=1, u=3.0)
+        assert (p.u, p.v) == (3.0, 1.0) and isinstance(p.v, float)
+        assert p == CouplingParams(3.0, 1.0) and hash(p) == hash(CouplingParams(3, 1.0))
+        assert repr(p) == "CouplingParams(u=3.0, v=1.0)"
+        # replace builds a new instance, so the new value is checked too
+        with pytest.raises(ValueError, match=beyond_limit("u", 2001.0)):
+            dataclasses.replace(p, u=2001.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.u = 0.0
+        assert pickle.loads(pickle.dumps(p)) == p
+        calls = []
+
+        def counting(name, x):
+            calls.append(name)
+            return float(x)
+
+        monkeypatch.setattr(core, "coupling", counting)
+        CouplingParams(3.0, 1.0)
+        assert calls == ["u", "v"]
+
 
 class TestSpectrum:
     def test_zero_couplings_uniform(self):
@@ -270,6 +293,13 @@ class TestSpectrum:
         rec = core.evaluate_one(0.0, 0.0)
         assert rec.dominant_label is BellLabel.PHI_PLUS and rec.dominant_weight == 0.25
         assert core.evaluate_one(30.0, 0.0).dominant_label is BellLabel.PSI_PLUS
+        # two-way ties: the Phi doublet at (-6, 0), and Phi- with Psi+ at
+        # energy -2 at (6, 6), where the first maximal weight is not index 0
+        for u, v, label in ((-6.0, 0.0, BellLabel.PHI_PLUS), (6.0, 6.0, BellLabel.PHI_MINUS)):
+            w = weights_at(u, v)
+            assert sorted(w)[-1] == sorted(w)[-2]
+            assert core.evaluate_one(u, v).dominant_label is label
+            assert core.LABELS[core.evaluate(u, v).dominant[0]] is label
 
 
 class TestThermalState:

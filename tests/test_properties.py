@@ -9,10 +9,16 @@ scalar twin's values; Psi-minus never dominant; lockstep bisection equal to
 bracket-by-bracket bisection; the v -> -v parity of the phase plane; the
 region partition, with CHSH violation as the dense oracle finds it; and
 contour roots that sit on grid edges, one per crossed edge and each closed
-loop once, with residuals below the tolerance.
+loop once, with residuals below the tolerance; and every public entry point
+returning or raising ValueError on odd arguments, a coupling being whatever
+float() reads.
 
-Runs are derandomized, so the suite draws the same examples every time.
+Runs are derandomized by the profile in conftest.py, so the suite draws the
+same examples every time.
 """
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,8 +47,6 @@ from dipolepair.scan import (
     trace_boundary,
 )
 
-SETTINGS = settings(derandomize=True, deadline=None, database=None)
-
 coupling = st.floats(-COUPLING_LIMIT, COUPLING_LIMIT, allow_nan=False)
 points = st.lists(st.tuples(coupling, coupling), min_size=1, max_size=40)
 
@@ -61,7 +65,6 @@ def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-@SETTINGS
 @given(points)
 @example(AXES)
 @example(CORNERS)
@@ -136,7 +139,6 @@ def test_a_bad_scalar_fails_the_field_as_an_array_does(quantity, u, v):
 SIGNED_ZEROS = [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (0.0, 1.0)]
 
 
-@SETTINGS
 @given(points)
 @example(SIGNED_ZEROS)
 @example(AXES + AXES)
@@ -174,7 +176,6 @@ def cubic(r, scale):
     return lambda x: (x - r) * (1.0 + x * x) * scale
 
 
-@SETTINGS
 @given(brackets)
 def test_lockstep_bisection_equals_bisection_one_bracket_at_a_time(rows):
     lo = np.array([r - t * w for r, t, w, _ in rows])
@@ -195,7 +196,6 @@ def test_lockstep_bisection_equals_bisection_one_bracket_at_a_time(rows):
 SWAP = {BellLabel.PHI_PLUS: BellLabel.PHI_MINUS, BellLabel.PHI_MINUS: BellLabel.PHI_PLUS}
 
 
-@SETTINGS
 @given(st.floats(-COUPLING_LIMIT, COUPLING_LIMIT - 1.0), st.floats(1e-3, 1000.0),
        st.floats(1e-300, COUPLING_LIMIT), st.integers(2, 12))
 def test_v_parity_of_the_scan(u_min, u_span, a, nu):
@@ -221,7 +221,6 @@ scaled = st.one_of(coupling, st.floats(-12.0, 12.0), st.floats(-1.0, 1.0))
 scaled_points = st.lists(st.tuples(scaled, scaled), min_size=1, max_size=40)
 
 
-@SETTINGS
 @given(scaled_points)
 def test_region_partition(pts):
     u, v = np.array(pts).T
@@ -236,7 +235,6 @@ def test_region_partition(pts):
         assert core.REGIONS[arrays.region[k]] is r.region
 
 
-@SETTINGS
 @given(scaled_points)
 @example(AXES)
 @example(CORNERS)
@@ -247,7 +245,6 @@ def test_psi_minus_is_never_dominant(pts):
     assert not np.any(core.evaluate(u, v).dominant == BellLabel.PSI_MINUS)
 
 
-@SETTINGS
 @given(scaled_points)
 def test_chsh_violation_is_the_nonlocal_region(pts):
     # CHSH of the dense thermal state's correlation matrix, by the general
@@ -272,7 +269,7 @@ def grids(draw):
                     draw(st.integers(2, 14)), draw(st.integers(2, 14)))
 
 
-@settings(SETTINGS, max_examples=30)
+@settings(max_examples=30)
 @given(st.sampled_from(list(BoundaryQuantity)), grids())
 def test_contour_roots_sit_on_crossed_edges(quantity, grid):
     field = boundary_field(quantity)
@@ -312,3 +309,54 @@ def test_a_closed_loop_is_emitted_once():
     grid = GridSpec(0.0, 32.0, 4.0, 8.0, 6, 3)
     polylines = trace_boundary(BoundaryQuantity.CHSH_MINUS_2, grid)
     assert [(p.closed, len(p.points)) for p in polylines] == [(True, 4)]
+
+
+# arguments for the fuzz of the entry points: integers beyond the float
+# range, Fractions, Decimals, long doubles beyond the float range and below
+# its least subnormal, 0-d and one-element arrays, bools, strings, bytes,
+# None and complex numbers, beside plain floats
+LONG = np.finfo(np.longdouble)
+ODD = [10 ** 400, -10 ** 400, 2 ** 63, Fraction(1, 3), Fraction(10 ** 400, 3),
+       Fraction(1, 10 ** 400), Decimal("1.5"), Decimal("sNaN"), Decimal("NaN"),
+       Decimal("-Infinity"), Decimal("1e-400"), np.longdouble(1.5), LONG.max, -LONG.max,
+       LONG.smallest_subnormal, np.array(1.0), np.array([1.0]), np.array([-0.5]), True,
+       False, "3", "x", "nan", b"3", b"x", None, 1 + 2j, 1j, 0.5, -1.0, 1e-9, 2000.0, 3]
+GRID5 = GridSpec(-10.0, 10.0, -10.0, 10.0, 5, 5)
+# each public entry point, with the well-formed arguments that odd ones replace
+ENTRY_POINTS = {
+    "CouplingParams": (CouplingParams, (3.0, 1.0)),
+    "GridSpec": (GridSpec, (0.0, 1.0, 0.0, 1.0, 3, 3)),
+    "evaluate": (core.evaluate, (3.0, 1.0)),
+    "evaluate_one": (core.evaluate_one, (3.0, 1.0)),
+    "boundary_field": (boundary_field(BoundaryQuantity.CHSH_MINUS_2), (3.0, 1.0)),
+    "trace_boundary": (lambda tol: trace_boundary(BoundaryQuantity.NEGATIVITY, GRID5, tol=tol),
+                       (DEFAULT_ROOT_TOL,)),
+    "bisect_root": (lambda *bracket: bisect_root(lambda x: x - 0.25, *bracket),
+                    (0.0, 1.0, -0.25, 0.75)),
+}
+
+
+# an entry point's name and its arguments, each the well-formed one or odd
+entry_calls = st.one_of(*(
+    st.tuples(st.just(name), st.tuples(*(st.one_of(st.just(x), st.sampled_from(ODD))
+                                         for x in args)))
+    for name, (_, args) in ENTRY_POINTS.items()))
+
+
+@settings(max_examples=300)
+@given(entry_calls)
+@example(("CouplingParams", ("3", 1)))
+@example(("evaluate_one", (b"3", 1)))
+@example(("bisect_root", (1 + 2j, 5.0, -1.0, 1.0)))
+@example(("bisect_root", (object(), 5.0, -1.0, 1.0)))
+@example(("bisect_root", (10 ** 400, 5.0, -1.0, 1.0)))
+@example(("bisect_root", (0.0, np.array([1.0]), -0.25, 0.75)))
+def test_entry_points_return_or_raise_a_value_error(case):
+    name, args = case
+    try:
+        result = ENTRY_POINTS[name][0](*args)
+    except ValueError:
+        return
+    # a coupling is whatever float() reads as a finite number within the limit
+    if name == "CouplingParams":
+        assert (result.u, result.v) == tuple(float(x) for x in args)

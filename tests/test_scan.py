@@ -240,6 +240,13 @@ class TestBisection:
         for lo, hi in ((math.nan, 1.0), (-1.0, math.nan), (-math.inf, 1.0)):
             with pytest.raises(ValueError, match="ends must be finite"):
                 bisect_root(field, lo, hi, -1.0, 1.0)
+        # a complex number, another non-number or an integer beyond the float
+        # range is no finite float either, as an end or as an end value
+        for bad in (1 + 2j, object(), 10 ** 400):
+            with pytest.raises(ValueError, match="^bisection bracket ends must be finite$"):
+                bisect_root(field, bad, 5.0, -1.0, 1.0)
+            with pytest.raises(ValueError, match="^bisection bracket end values must be finite$"):
+                bisect_root(field, -1.0, 1.0, -1.0, bad)
 
     def test_entanglement_onset_on_segment(self):
         field = boundary_field(BoundaryQuantity.NEGATIVITY)

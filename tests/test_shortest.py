@@ -4,7 +4,8 @@ ten, and at the switch points of repr's layout (exponent notation below
 1e-4 and from 1e16, which `reprs` leaves to repr, subnormals, the largest
 double).
 
-Runs are derandomized, so the suite draws the same examples every time.
+Runs are derandomized by the profile in conftest.py, so the suite draws the
+same examples every time.
 The same check over 10**7 patterns in the binades of fixed notation, ten
 batches of a million:
 
@@ -12,7 +13,7 @@ batches of a million:
     for seed in range(10): t.check_bit_patterns(seed, 10**6, fixed=True)"
 """
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dipolepair.shortest import WIDTH, reprs
 
@@ -40,7 +41,6 @@ def check_bit_patterns(seed: int, size: int, fixed: bool) -> None:
     assert_reprs(x[np.isfinite(x)])
 
 
-@settings(derandomize=True, deadline=None, database=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
 @example(EDGES)
 @example([-x for x in EDGES])
