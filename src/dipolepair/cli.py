@@ -155,8 +155,7 @@ def run_cli(argv: list[str] | None = None) -> int:
                                                   and not os.path.isfile(target)):
                 raise OSError("not a file name")
         if args.command == "point":
-            p = core.CouplingParams(args.u, args.v)
-            text = scan_rows([core.evaluate(p.u, p.v)], args.normalized_negativity)
+            text = scan_rows([core.evaluate(args.u, args.v)], args.normalized_negativity)
         elif args.command == "scan":
             text = scan_rows(evaluate_grid(_grid_from_args(args)),
                              args.normalized_negativity)

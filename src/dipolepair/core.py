@@ -38,7 +38,9 @@ over the Bloch sphere the fidelity is (1 + 2 w_k0)/3, so the best seed beats
 the classical record 2/3 exactly when w_max exceeds 1/2.
 
 Only the inputs are checked at runtime: finite and within the stability
-limit.  For such inputs the closed forms guarantee the rest (weights a
+limit.  `floats` reads every coupling and bracket the library takes, and
+`coupling` words each coupling error, so a rule has one text on every
+route.  For such inputs the closed forms guarantee the rest (weights a
 probability vector that never rises with energy, correlations inside the
 Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelity in [1/3, 1], Psi-minus
 never dominant); `tests/test_properties.py` asserts those facts over the
@@ -88,20 +90,33 @@ REGIONS = tuple(Region)
 LABELS = tuple(BellLabel)
 
 
-def _too_large(name: str) -> ValueError:
-    return ValueError(f"{name} must be finite, got an integer too large for a float")
+# plain numbers, never complex, that float() reads quickly: within the limit they need no reader
+_REAL = (float, int, np.float64)
+
+
+def floats(name: str, x) -> np.ndarray:
+    """`x` as `np.asarray(x, dtype=float)` reads it, a long double beyond the
+    float range as inf; ValueError if it is complex, not a number or an
+    integer beyond the float range."""
+    try:
+        if not np.iscomplexobj(x):  # numpy would keep the real part of a numpy complex
+            with np.errstate(over="ignore"):
+                return np.asarray(x, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+    except TypeError:  # an object that is not a number (None reads as nan)
+        pass
+    raise ValueError(f"{name} must be finite, got {reprlib.repr(x)}")
 
 
 def coupling(name: str, x) -> float:
-    """`x` as a float; ValueError unless it is a finite number within the
-    stability limit, |x| <= COUPLING_LIMIT."""
-    try:
-        x = float(x)
-    except TypeError:  # None and other non-numbers
-        pass
-    except OverflowError:  # an integer beyond the float range
-        raise _too_large(name) from None
-    if not (isinstance(x, float) and math.isfinite(x)):
+    """`x` as a float; ValueError unless it is a single finite number
+    within the stability limit, |x| <= COUPLING_LIMIT."""
+    if type(x) in _REAL and abs(x) <= COUPLING_LIMIT:  # nothing to read or reject
+        return float(x)
+    a = floats(name, x)
+    x = x if a.ndim else float(a)  # float() reads only single numbers
+    if not (type(x) is float and math.isfinite(x)):
         raise ValueError(f"{name} must be finite, got {x!r}")
     if abs(x) > COUPLING_LIMIT:
         raise ValueError(f"|{name}| = {abs(x)!r} exceeds the stability limit {COUPLING_LIMIT}")
@@ -152,23 +167,9 @@ class ScanRecord:
 def _points(u, v) -> tuple[np.ndarray, np.ndarray]:
     """u and v broadcast against each other, as flat float arrays with one
     entry per point."""
-    arrays = []
-    with np.errstate(over="ignore"):  # a long double beyond the float range reads as inf
-        for name, x in (("u", u), ("v", v)):
-            try:
-                arrays.append(np.asarray(x, dtype=float))
-            except OverflowError:  # an integer beyond the float range
-                raise _too_large(name) from None
-            except TypeError:  # complex and other non-numbers
-                raise ValueError(f"{name} must be finite, got {reprlib.repr(x)}") from None
-    u, v = arrays if arrays[0].shape == arrays[1].shape else np.broadcast_arrays(*arrays)
+    u, v = floats("u", u), floats("v", v)
+    u, v = (u, v) if u.shape == v.shape else np.broadcast_arrays(u, v)
     return u.ravel(), v.ravel()
-
-
-def _require(ok: np.ndarray, u: np.ndarray, v: np.ndarray, what: str) -> None:
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise ValueError(f"{what} at (u, v) = ({float(u[k])!r}, {float(v[k])!r})")
 
 
 def weights(u, v) -> np.ndarray:
@@ -181,9 +182,9 @@ def weights(u, v) -> np.ndarray:
     """
     u, v = _points(u, v)
     for name, x in (("u", u), ("v", v)):
-        _require(np.isfinite(x), u, v, f"{name} must be finite")
-        _require(np.abs(x) <= COUPLING_LIMIT, u, v,
-                 f"|{name}| exceeds the stability limit {COUPLING_LIMIT}")
+        outside = x[~(np.abs(x) <= COUPLING_LIMIT)]
+        if outside.size:  # raises on the first value not finite, else the first beyond
+            coupling(name, outside[np.argmin(np.isfinite(outside))].item())
     e = np.empty((u.size, 4))
     e[:, 0] = (u + 3.0 * v) / 6.0
     e[:, 1] = (u - 3.0 * v) / 6.0
@@ -227,20 +228,19 @@ def evaluate_one(u, v) -> ScanRecord:
     """`evaluate` at the single point (u, v), as a record of Python floats
     and the dominant label and region themselves.
 
-    It keeps `weights`' input checks and their messages, and repeats the
-    array core's arithmetic in the same order, so each value equals the
+    Anything but two plain numbers within the envelope is read and checked
+    as `evaluate` reads and checks it, a 1-element array included.  It repeats
+    the array core's arithmetic in the same order, so each value equals the
     core's to the bit.  The four exponentials go through one `np.exp` on a
     4-vector, as in `weights`: `math.exp` can differ from it in the last
     bit.  Squares use Python's float `**` (libm pow, as
     `np.float_power` does) and ties fall to the earlier label, as in
     `np.argmax`.
     """
-    try:
-        u, v = float(u), float(v)
-    except (TypeError, OverflowError):  # None, a 1-element array, a huge int
-        u, v = (x.item() for x in _points(u, v))
-    if not (abs(u) <= COUPLING_LIMIT and abs(v) <= COUPLING_LIMIT):
-        weights(u, v)  # not finite or beyond the limit: raises the core's error
+    if not (type(u) in _REAL and type(v) in _REAL
+            and abs(u) <= COUPLING_LIMIT and abs(v) <= COUPLING_LIMIT):
+        u, v = (coupling(name, x.item()) for name, x in zip("uv", _points(u, v)))
+    u, v = float(u), float(v)
     e0, e1, e2 = (u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0
     m = min(e0, e1, e2, 0.0)
     s0, s1, s2, s3 = np.exp([-(e0 - m), -(e1 - m), -(e2 - m), -(0.0 - m)]).tolist()

@@ -73,7 +73,7 @@ class GridSpec:
         for name in ("nu", "nv"):
             n = getattr(self, name)
             try:
-                ok = int(n) == n and int(n) >= 2
+                ok = not np.iscomplexobj(n) and int(n) == n and int(n) >= 2
             except (TypeError, ValueError, OverflowError):  # None, nan, inf
                 ok = False
             if not ok:
@@ -165,12 +165,11 @@ def bisect_root(f: Callable, lo, hi, f_lo, f_hi):
     floats, or it raises ValueError.
     """
     arrays = []
-    with np.errstate(over="ignore"):  # a long double beyond the float range reads as inf
-        for x in (lo, hi, f_lo, f_hi):
-            try:
-                arrays.append(np.asarray(x, dtype=float))
-            except (TypeError, OverflowError):  # complex and other non-numbers, a huge int
-                arrays.append(np.array(np.nan))  # not finite, so rejected below
+    for x in (lo, hi, f_lo, f_hi):
+        try:
+            arrays.append(core.floats("bracket", x))
+        except ValueError:  # not a real number: not finite, so rejected below
+            arrays.append(np.array(np.nan))
     # one bracket per entry of the four broadcast together, copied, since the
     # ends move in place
     lo, hi, f_lo, f_hi = (a.copy() for a in np.broadcast_arrays(*arrays))

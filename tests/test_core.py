@@ -11,9 +11,11 @@ eigendecomposition; the fidelity from explicit Kraus conjugations and a
 400 x 400 dense sphere quadrature.
 """
 import dataclasses
+import functools
 import math
 import pickle
 import re
+import reprlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +33,7 @@ from dipolepair.core import (
 from dipolepair.scan import (
     BoundaryQuantity,
     GridSpec,
+    bisect_root,
     boundary_field,
     evaluate_point,
     trace_boundary,
@@ -122,15 +125,22 @@ def test_matches_evaluate_point_at_scattered_points():
                                            dtype=float).view(np.int64))
 
 
-@pytest.mark.parametrize("u, v", [
-    ([0.0, 2000.5], [0.0, 0.0]),
-    ([0.0, 0.0], [1.0, -2001.0]),
-    ([np.nan], [0.0]),
-    ([0.0], [np.inf]),
-])
-def test_rejects_couplings_outside_the_envelope(u, v):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("u, v, message", [
+    ([0.0, 2000.5], [0.0, 0.0], beyond_limit("u", 2000.5)),
+    ([0.0, 0.0], [1.0, -2001.0], beyond_limit("v", 2001.0)),
+    ([np.nan], [0.0], "^u must be finite, got nan$"),
+    ([0.0], [np.inf], "^v must be finite, got inf$"),
+], ids=["u0-v0", "u1-v1", "u2-v2", "u3-v3"])
+def test_rejects_couplings_outside_the_envelope(u, v, message):
+    # the text of `core.coupling` for the first bad value
+    with pytest.raises(ValueError, match=message):
         core.evaluate(u, v)
+
+
+@pytest.mark.parametrize("u", [np.array([1.0]), 1, np.float64(1.0), np.int64(1), "1"])
+def test_evaluate_one_reads_what_evaluate_reads(u):
+    rec = core.evaluate_one(u, 0.0)
+    assert rec == core.evaluate_one(1.0, 0.0) and type(rec.u) is float
 
 
 @pytest.mark.parametrize("call", [
@@ -148,6 +158,19 @@ def test_an_integer_beyond_the_float_range_is_a_value_error(call):
 
 
 GRID3 = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
+# numpy complex numbers, which np.asarray(x, dtype=float) reads as their real part
+NUMPY_COMPLEX = {"complex128": np.complex128(1 + 2j), "complex64": np.complex64(1j),
+                 "0d": np.array(1 + 2j), "1d": np.array([1j])}
+# entry points given a number first, with the message that rejects it
+FIRST_NUMBER = {
+    "params": (lambda x: CouplingParams(x, 1.0), "u must be finite, got {}"),
+    "grid": (lambda x: GridSpec(x, 1.0, 0.0, 1.0, 3, 3), "u_min must be finite, got {}"),
+    "evaluate": (lambda x: core.evaluate(x, 1.0), "u must be finite, got {}"),
+    "evaluate_one": (lambda x: core.evaluate_one(x, 1.0), "u must be finite, got {}"),
+    "boundary_field": (lambda x: boundary_field("chsh")(x, 0.0), "u must be finite, got {}"),
+    "bisect_root": (lambda x: bisect_root(lambda t: t - 0.25, x, 1.0, -0.25, 0.75),
+                    "bisection bracket ends must be finite"),
+}
 
 
 @pytest.mark.parametrize("call, message", [
@@ -158,10 +181,14 @@ GRID3 = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
     (lambda: boundary_field("chsh")(1j, 0.0), "u must be finite, got 1j"),
     (lambda: trace_boundary("chsh", GRID3, tol=None), "tolerance must be a real number, got None"),
     (lambda: trace_boundary("chsh", GRID3, tol="x"), "tolerance must be a real number, got 'x'"),
-], ids=["evaluate-complex", "evaluate-object", "evaluate-v", "evaluate_one",
-        "boundary_field", "tol-none", "tol-string"])
+] + [(functools.partial(call, x), re.escape(text.format(reprlib.repr(x))) + "$")
+      for call, text in FIRST_NUMBER.values() for x in NUMPY_COMPLEX.values()],
+    ids=["evaluate-complex", "evaluate-object", "evaluate-v", "evaluate_one",
+         "boundary_field", "tol-none", "tol-string"]
+    + [f"{entry}-{kind}" for entry in FIRST_NUMBER for kind in NUMPY_COMPLEX])
 def test_a_non_number_is_a_value_error(call, message):
-    # np.asarray(x, dtype=float) and `tol > 0.0` raise TypeError on these
+    # np.asarray(x, dtype=float) and `tol > 0.0` raise TypeError on these,
+    # and numpy warns and keeps the real part of a numpy complex number
     with pytest.raises(ValueError, match="^" + message):
         call()
 
@@ -213,8 +240,9 @@ class TestBellStates:
 
 class TestCouplingParams:
     def test_holds_floats(self):
-        p = CouplingParams(3, 1)
-        assert p.u == 3.0 and isinstance(p.u, float)
+        for u in (3, np.float64(3.0), np.int64(3), "3"):
+            p = CouplingParams(u, 1)
+            assert p.u == 3.0 and type(p.u) is float
 
     @pytest.mark.parametrize("u", [math.nan, None])
     def test_rejects_nan(self, u):

@@ -95,6 +95,13 @@ def test_only_core_names_the_coupling_limit():
     assert naming == ["__init__.py", "core.py"]
 
 
+def test_only_core_reads_numbers():
+    # every other module reads outside numbers through `core.floats`
+    naming = [p.name for p in sorted(PACKAGE.glob("*.py"))
+              if "errstate" in names_in(p.read_text())]
+    assert naming == ["core.py"]
+
+
 # the absolute imports each production module runs when it loads, by top
 # package; a new one slows `import dipolepair.cli` and has to be added here
 LOAD_TIME_IMPORTS = {

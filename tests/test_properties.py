@@ -314,13 +314,14 @@ def test_a_closed_loop_is_emitted_once():
 # arguments for the fuzz of the entry points: integers beyond the float
 # range, Fractions, Decimals, long doubles beyond the float range and below
 # its least subnormal, 0-d and one-element arrays, bools, strings, bytes,
-# None and complex numbers, beside plain floats
+# None and complex numbers, numpy's among them, beside plain floats
 LONG = np.finfo(np.longdouble)
 ODD = [10 ** 400, -10 ** 400, 2 ** 63, Fraction(1, 3), Fraction(10 ** 400, 3),
        Fraction(1, 10 ** 400), Decimal("1.5"), Decimal("sNaN"), Decimal("NaN"),
        Decimal("-Infinity"), Decimal("1e-400"), np.longdouble(1.5), LONG.max, -LONG.max,
        LONG.smallest_subnormal, np.array(1.0), np.array([1.0]), np.array([-0.5]), True,
-       False, "3", "x", "nan", b"3", b"x", None, 1 + 2j, 1j, 0.5, -1.0, 1e-9, 2000.0, 3]
+       False, "3", "x", "nan", b"3", b"x", None, 1 + 2j, 1j, np.complex128(1 + 2j),
+       np.complex64(1j), np.array(1 + 2j), np.array([1j]), 0.5, -1.0, 1e-9, 2000.0, 3]
 GRID5 = GridSpec(-10.0, 10.0, -10.0, 10.0, 5, 5)
 # each public entry point, with the well-formed arguments that odd ones replace
 ENTRY_POINTS = {

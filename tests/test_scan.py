@@ -48,7 +48,8 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1.0, 0.0, 0.0, 1.0, 2, 2)
 
-    @pytest.mark.parametrize("nu", [1, math.inf, math.nan, None])
+    @pytest.mark.parametrize("nu", [1, math.inf, math.nan, None, np.complex128(3),
+                                    np.complex64(3)])
     def test_rejects_single_point_axis(self, nu):
         with pytest.raises(ValueError, match="nu must be an integer >= 2"):
             GridSpec(0.0, 1.0, 0.0, 1.0, nu, 2)
