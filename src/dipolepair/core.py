@@ -48,8 +48,10 @@ whole envelope.  `evaluate` serves arrays of points; its scalar twin
 `evaluate_one` repeats the same checks and arithmetic, in the same order,
 on Python floats for one point, where some fifty numpy calls on 1-element
 arrays would cost several times the arithmetic, and equals `evaluate` to
-the bit.  The dense matrices, the channel arithmetic and the sphere
-quadrature behind these closed forms live in `reference`.
+the bit; its record, `ScanRecord`, is a named tuple, which is built in
+one call where a frozen dataclass sets each of its eight fields in turn.
+The dense matrices, the channel arithmetic and the sphere quadrature
+behind these closed forms live in `reference`.
 """
 from __future__ import annotations
 
@@ -57,6 +59,7 @@ import math
 import reprlib
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +153,7 @@ class PhaseArrays:
     region: np.ndarray
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """Reported quantities at one coupling point."""
 
     u: float
@@ -180,7 +182,12 @@ def weights(u, v) -> np.ndarray:
     weights stay finite over the whole envelope, and the partition sum adds
     the levels in label order.
     """
-    u, v = _points(u, v)
+    return _weights(*_points(u, v))
+
+
+def _weights(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`weights` at the points `_points` has read: checks each coupling
+    within the envelope, u first."""
     for name, x in (("u", u), ("v", v)):
         outside = x[~(np.abs(x) <= COUPLING_LIMIT)]
         if outside.size:  # raises on the first value not finite, else the first beyond
@@ -203,7 +210,7 @@ def evaluate(u, v) -> PhaseArrays:
     earlier label.
     """
     u, v = _points(u, v)
-    w = weights(u, v)
+    w = _weights(u, v)
     pp, pm, sp, sm = w.T
     c = np.empty((u.size, 3))
     c[:, 0] = pp - pm + sp - sm
@@ -231,11 +238,11 @@ def evaluate_one(u, v) -> ScanRecord:
     Anything but two plain numbers within the envelope is read and checked
     as `evaluate` reads and checks it, a 1-element array included.  It repeats
     the array core's arithmetic in the same order, so each value equals the
-    core's to the bit.  The four exponentials go through one `np.exp` on a
-    4-vector, as in `weights`: `math.exp` can differ from it in the last
-    bit.  Squares use Python's float `**` (libm pow, as
-    `np.float_power` does) and ties fall to the earlier label, as in
-    `np.argmax`.
+    core's to the bit.  Each of the four exponentials is `np.exp` of one
+    float, which runs the loop `weights` runs on arrays and gives its bits;
+    `math.exp` can differ from it in the last bit.  Squares use Python's
+    float `**` (libm pow, as `np.float_power` does) and ties fall to the
+    earlier label, as in `np.argmax`.
     """
     if not (type(u) in _REAL and type(v) in _REAL
             and abs(u) <= COUPLING_LIMIT and abs(v) <= COUPLING_LIMIT):
@@ -243,7 +250,8 @@ def evaluate_one(u, v) -> ScanRecord:
     u, v = float(u), float(v)
     e0, e1, e2 = (u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0
     m = min(e0, e1, e2, 0.0)
-    s0, s1, s2, s3 = np.exp([-(e0 - m), -(e1 - m), -(e2 - m), -(0.0 - m)]).tolist()
+    s0, s1, s2, s3 = (float(np.exp(-(e0 - m))), float(np.exp(-(e1 - m))),
+                      float(np.exp(-(e2 - m))), float(np.exp(-(0.0 - m))))
     z = ((s0 + s1) + s2) + s3
     w = [s0 / z, s1 / z, s2 / z, s3 / z]
     pp, pm, sp, sm = w

@@ -231,6 +231,17 @@ def test_squares_as_python_float_power_does():
     assert np.any(x * x != want)
 
 
+def test_exp_of_one_float_is_exp_of_an_array():
+    # evaluate_one calls np.exp on each of its four Python floats, weights on
+    # arrays; the exponents lie in [-2000, 0] over the envelope.  On this
+    # draw numpy's one-value loop gives the array loop's bits, math.exp not
+    rng = np.random.default_rng(17)
+    x = np.concatenate([rng.uniform(-2000.0, 0.0, 900_000), rng.uniform(-2.0, 0.0, 100_000)])
+    got = np.array([float(np.exp(t)) for t in x.tolist()])
+    np.testing.assert_array_equal(got.view(np.int64), np.exp(x).view(np.int64))
+    assert np.any(np.array([math.exp(t) for t in x.tolist()]) != got)
+
+
 class TestBellStates:
     def test_canonical_order(self):
         assert [label.name for label in sorted(BellLabel)] == [
@@ -280,6 +291,43 @@ class TestCouplingParams:
         monkeypatch.setattr(core, "coupling", counting)
         CouplingParams(3.0, 1.0)
         assert calls == ["u", "v"]
+
+
+class TestScanRecord:
+    def test_fields_in_order(self):
+        assert core.ScanRecord._fields == (
+            "u", "v", "chsh", "negativity", "fidelity", "dominant_weight",
+            "dominant_label", "region")
+
+    def test_is_frozen(self):
+        rec = core.evaluate_one(3.0, 1.0)
+        # dataclasses.FrozenInstanceError is an AttributeError too
+        with pytest.raises(AttributeError):
+            rec.chsh = 0.0
+
+    def test_repr(self):
+        assert repr(core.evaluate_one(3.0, 1.0)) == (
+            "ScanRecord(u=3.0, v=1.0, chsh=1.307064702404812, "
+            "negativity=0.034446645388522934, fidelity=0.689631096925682, "
+            "dominant_weight=0.5344466453885229, dominant_label=<BellLabel.PSI_PLUS: 2>, "
+            "region=<Region.ENTANGLED_LOCAL: 'entangled_local'>)")
+
+    def test_pickles_equal_and_hashes_equal(self):
+        rec = core.evaluate_one(3.0, 1.0)
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        again = core.evaluate_one(3.0, 1.0)
+        assert again == rec and hash(again) == hash(rec)
+
+    def test_plain_numbers_skip_the_reader(self, monkeypatch):
+        def reader(*args):
+            raise AssertionError("read a plain number")
+
+        monkeypatch.setattr(core, "floats", reader)
+        monkeypatch.setattr(core, "_points", reader)
+        CouplingParams(3.0, 1.0)
+        evaluate_point(CouplingParams(3.0, 1.0))
+        core.evaluate_one(3, 1)
+        core.evaluate_one(np.float64(3.0), 1.0)
 
 
 class TestSpectrum:

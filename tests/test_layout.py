@@ -108,7 +108,7 @@ LOAD_TIME_IMPORTS = {
     "__init__.py": set(),
     "__main__.py": set(),
     "cli.py": {"argparse", "os", "sys", "typing"},
-    "core.py": {"dataclasses", "enum", "math", "numpy", "reprlib"},
+    "core.py": {"dataclasses", "enum", "math", "numpy", "reprlib", "typing"},
     "scan.py": {"dataclasses", "enum", "numbers", "numpy", "reprlib", "typing"},
     "shortest.py": {"functools", "numpy"},
 }

@@ -13,19 +13,24 @@ batches of a million:
     for seed in range(10): t.check_bit_patterns(seed, 10**6, fixed=True)"
 """
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
-from dipolepair.shortest import WIDTH, reprs
+from dipolepair import shortest
+from dipolepair.shortest import _SMALL, WIDTH, reprs
 
 EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-05, 1e-04,
          1e16, 9999999999999998.0, 1.7976931348623157e308, 2000.0, 1e99, 1e100, 1e-100]
 
 
 def assert_reprs(x: np.ndarray) -> None:
-    got = reprs(x)
-    want = np.array([repr(v).encode().rjust(WIDTH, b"\0") for v in x.tolist()])
-    bad = np.flatnonzero(np.any(got != want.view(np.uint8).reshape(-1, WIDTH), axis=1))
-    assert bad.size == 0, [(repr(x[i]), bytes(got[i]).lstrip(b"\0")) for i in bad[:5]]
+    """`reprs` writes repr's bytes for x and, so that short draws reach the
+    array route too, for x repeated up to _SMALL values."""
+    for y in [x] if x.size >= _SMALL else [x, np.resize(x, _SMALL)]:
+        got = reprs(y)
+        want = np.array([repr(v).encode().rjust(WIDTH, b"\0") for v in y.tolist()])
+        bad = np.flatnonzero(np.any(got != want.view(np.uint8).reshape(-1, WIDTH), axis=1))
+        assert bad.size == 0, [(repr(y[i]), bytes(got[i]).lstrip(b"\0")) for i in bad[:5]]
 
 
 def check_bit_patterns(seed: int, size: int, fixed: bool) -> None:
@@ -63,3 +68,16 @@ def test_reprs_equal_repr_on_integers_and_powers():
 def test_reprs_of_nothing_and_of_non_finite_values():
     assert reprs(np.array([])).shape == (0, WIDTH)
     assert_reprs(np.array([np.nan, np.inf, -np.inf, -5e-324, 1e-310]))
+
+
+def test_calls_below_the_cutoff_skip_the_array_route(monkeypatch):
+    x = np.linspace(0.1, 9.9, _SMALL)
+    want = reprs(x)
+
+    def array_route(bits):
+        raise AssertionError("took the array route")
+
+    monkeypatch.setattr(shortest, "_shortest", array_route)
+    np.testing.assert_array_equal(reprs(x[1:]), want[1:])
+    with pytest.raises(AssertionError, match="array route"):
+        reprs(x)
