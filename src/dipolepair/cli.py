@@ -180,5 +180,36 @@ def run_cli(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+class _Stopped(BaseException):
+    """SIGINT or SIGTERM arrived; raised from the handler `main` installs."""
+
+
 def main() -> None:
-    raise SystemExit(run_cli())
+    """Run the CLI as a program.  SIGINT and SIGTERM raise `_Stopped`, so an
+    `--out` temporary file is removed on the way out; then one `error:` line
+    is printed and the signal is sent again under its default action, so the
+    exit status is still the signal's (130 and 143 in a shell).  A signal
+    the process started with ignored stays ignored, as Python leaves it, and
+    the previous handlers are back in place when `main` returns."""
+    import signal  # here, so that library imports do not load it
+
+    def stop(signum, frame):
+        raise _Stopped(signum)
+
+    previous = {signum: signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)}
+    for signum, handler in previous.items():
+        if handler is not signal.SIG_IGN:
+            signal.signal(signum, stop)
+    try:
+        status = run_cli()
+    except _Stopped as exc:
+        signum = exc.args[0]
+        signal.signal(signum, signal.SIG_DFL)
+        word = "interrupted" if signum == signal.SIGINT else "terminated"
+        print(f"error: {word}", file=sys.stderr, flush=True)
+        os.kill(os.getpid(), signum)
+        status = 128 + signum  # only if the signal did not end the process
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+    raise SystemExit(status)

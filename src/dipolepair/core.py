@@ -45,11 +45,13 @@ probability vector that never rises with energy, correlations inside the
 Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelity in [1/3, 1], Psi-minus
 never dominant); `tests/test_properties.py` asserts those facts over the
 whole envelope.  `evaluate` serves arrays of points; its scalar twin
-`evaluate_one` repeats the same checks and arithmetic, in the same order,
-on Python floats for one point, where some fifty numpy calls on 1-element
-arrays would cost several times the arithmetic, and equals `evaluate` to
-the bit; its record, `ScanRecord`, is a named tuple, which is built in
-one call where a frozen dataclass sets each of its eight fields in turn.
+`evaluate_one` makes the same checks on Python floats for one point, where
+some fifty numpy calls on 1-element arrays would cost several times the
+arithmetic, and equals `evaluate` to the bit.  It skips only steps whose
+result is known exactly: the exponential at the lowest level, which is
+1.0, and the search for the largest weight, which is 1/z; see its
+docstring.  Its record, `ScanRecord`, is a named tuple, built in one call
+where a frozen dataclass sets each of its eight fields in turn.
 The dense matrices, the channel arithmetic and the sphere quadrature
 behind these closed forms live in `reference`.
 """
@@ -235,35 +237,51 @@ def evaluate_one(u, v) -> ScanRecord:
     """`evaluate` at the single point (u, v), as a record of Python floats
     and the dominant label and region themselves.
 
-    Anything but two plain numbers within the envelope is read and checked
-    as `evaluate` reads and checks it, a 1-element array included.  It repeats
-    the array core's arithmetic in the same order, so each value equals the
-    core's to the bit.  Each of the four exponentials is `np.exp` of one
-    float, which runs the loop `weights` runs on arrays and gives its bits;
-    `math.exp` can differ from it in the last bit.  Squares use Python's
-    float `**` (libm pow, as `np.float_power` does) and ties fall to the
-    earlier label, as in `np.argmax`.
+    Anything but two plain numbers within the envelope is read as
+    `evaluate` reads it, a 1-element array included, and checked by
+    `coupling`, so an array of another size is worded as `CouplingParams`
+    words it.  Each value equals the core's to the bit, though two steps
+    are skipped because their result is known exactly:
+    - The level at the least energy is not exponentiated: its exponent is
+      0.0 or -0.0, whose `np.exp` is 1.0.  Every other exponential is
+      `np.exp` of one float below 0, at most 1.0, with the bits of the loop
+      `weights` runs on arrays (`math.exp` can differ in the last bit).
+    - So the largest weight is 1.0 / z, as rounded division by z > 0 keeps
+      that order; `index` finds the first weight equal to it, the tie rule
+      of `np.argmax`.
+    The least energy and the maxima are comparisons, which pick values equal
+    to those `min` and `np.maximum` pick, and squares use Python's float
+    `**` (libm pow, as `np.float_power` does).
     """
     if not (type(u) in _REAL and type(v) in _REAL
             and abs(u) <= COUPLING_LIMIT and abs(v) <= COUPLING_LIMIT):
-        u, v = (coupling(name, x.item()) for name, x in zip("uv", _points(u, v)))
+        read = floats("u", u), floats("v", v)  # both, as `evaluate` reads them
+        u, v = (coupling(name, a.item() if a.size == 1 else x)
+                for name, a, x in zip("uv", read, (u, v)))
     u, v = float(u), float(v)
     e0, e1, e2 = (u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0
-    m = min(e0, e1, e2, 0.0)
-    s0, s1, s2, s3 = (float(np.exp(-(e0 - m))), float(np.exp(-(e1 - m))),
-                      float(np.exp(-(e2 - m))), float(np.exp(-(0.0 - m))))
+    # the least energy, never above Psi-'s 0.0: e0 > 0 and e1 > 0 need u > |3v|, so e2 < 0
+    m = e0 if e0 < e1 else e1
+    if e2 < m:
+        m = e2
+    s0 = 1.0 if e0 == m else float(np.exp(-(e0 - m)))
+    s1 = 1.0 if e1 == m else float(np.exp(-(e1 - m)))
+    s2 = 1.0 if e2 == m else float(np.exp(-(e2 - m)))
+    s3 = 1.0 if m == 0.0 else float(np.exp(m))  # m is -(0.0 - m) exactly
     z = ((s0 + s1) + s2) + s3
-    w = [s0 / z, s1 / z, s2 / z, s3 / z]
+    w = (s0 / z, s1 / z, s2 / z, s3 / z)
     pp, pm, sp, sm = w
     a = (pp - pm + sp - sm) ** 2.0
     b = (-pp + pm + sp - sm) ** 2.0
     s = (pp + pm - sp - sm) ** 2.0
-    chsh = 2.0 * math.sqrt(max(a + b, a + s, b + s))
-    # index finds the first maximal weight, the same tie rule as np.argmax
-    w_max = max(w)
+    # rounding is monotone, so the largest pair sum is the sum without the least
+    top = (b + s if a < s else a + b) if a < b else (a + s if b < s else a + b)
+    chsh = 2.0 * math.sqrt(top)
+    w_max = 1.0 / z
     best = w.index(w_max)
-    negativity = max(0.0, w_max - 0.5)
+    negativity = w_max - 0.5 if w_max > 0.5 else 0.0
     region = (0 if negativity < SEPARABLE_NEGATIVITY_TOL
               else 2 if chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL else 1)
-    return ScanRecord(u, v, chsh, negativity, (1.0 + 2.0 * w_max) / 3.0, w_max,
-                      LABELS[best], REGIONS[region])
+    # the call ScanRecord's generated __new__ makes, without its Python frame
+    return tuple.__new__(ScanRecord, (u, v, chsh, negativity, (1.0 + 2.0 * w_max) / 3.0,
+                                      w_max, LABELS[best], REGIONS[region]))

@@ -2,7 +2,10 @@
 import multiprocessing.process
 import os
 import runpy
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -265,10 +268,47 @@ class TestUsage:
         argv = ["point", "--u", "3", "--v", "1"]
         _, expected, _ = run(capsys, *argv)
         monkeypatch.setattr(sys, "argv", ["dipolepair", *argv])
+        handlers = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
         with pytest.raises(SystemExit) as exc:
             runpy.run_module("dipolepair", run_name="__main__", alter_sys=True)
         assert exc.value.code == 0
         assert capsys.readouterr().out == expected
+        # main's signal handlers do not outlive it
+        assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == handlers
+
+
+def _default_sigint():
+    # a child started from a shell without job control inherits SIGINT
+    # ignored, and the CLI leaves an ignored signal ignored
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+@pytest.mark.parametrize("signum, word", [(signal.SIGINT, "interrupted"),
+                                          (signal.SIGTERM, "terminated")],
+                         ids=["sigint", "sigterm"])
+def test_a_signal_removes_the_temporary_file(signum, word, tmp_path):
+    # a scan of 2001^2 points runs for seconds; the signal is sent once its
+    # temporary file exists, so the run is stopped while writing
+    out = tmp_path / "F"
+    out.write_bytes(b"old bytes\n")
+    path = os.pathsep.join(filter(None, (os.path.dirname(os.path.dirname(core.__file__)),
+                                         os.environ.get("PYTHONPATH"))))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dipolepair", "scan", "--u", "-10:10:2001",
+         "--v", "-10:10:2001", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=_default_sigint)
+    try:
+        deadline = time.monotonic() + 30.0
+        while not list(tmp_path.glob(".F.*.tmp")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        child.send_signal(signum)
+        stdout, stderr = child.communicate(timeout=30.0)
+    finally:
+        child.kill()
+    assert (child.returncode, stdout, stderr) == (-signum, b"", f"error: {word}\n".encode())
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"old bytes\n"
 
 
 # numbers at the edges of what the CLI parses: signed zeros, non-finite

@@ -99,12 +99,22 @@ def fidelity_and_seed(u, v):
 
 
 def test_matches_evaluate_point_at_scattered_points():
-    # a block of 3200 points, and a column of u or v against a scalar: the
+    # a block of 4454 points, and a column of u or v against a scalar: the
     # core has one entry per point in every column, and it and its scalar
-    # twin behind evaluate_point agree to the bit
+    # twin behind evaluate_point agree to the bit.  Beside a seeded draw the
+    # block holds the edges of the twin's shortcuts (no np.exp at the
+    # lowest level, 1/z as the largest weight): the integer lattice, with
+    # exact ties between levels and u = 0, where e2 = -u/3 is -0.0; the same
+    # lattice in units of the least subnormal, where the energies' divisions
+    # round to 0; and the corners of the envelope
     rng = np.random.default_rng(5)
-    u = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
-    v = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200)])
+    g = np.arange(-12.0, 13.0)
+    u = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200),
+                        np.repeat(g, g.size), np.repeat(g * 5e-324, g.size),
+                        [2000.0, 2000.0, -2000.0, -2000.0]])
+    v = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200),
+                        np.tile(g, g.size), np.tile(g * 5e-324, g.size),
+                        [2000.0, -2000.0, 2000.0, -2000.0]])
     for args in ((u, v), ([1.0, 2.0, 3.0], 1.0), (1.0, [1.0, 2.0, 3.0])):
         b = core.evaluate(*args)
         us, vs = (x.tolist() for x in np.broadcast_arrays(*args))
@@ -123,6 +133,30 @@ def test_matches_evaluate_point_at_scattered_points():
             assert np.array_equal(np.array(fields, dtype=float).view(np.int64),
                                   np.array([getattr(b, f)[k] for f in vars(b)],
                                            dtype=float).view(np.int64))
+
+
+class CountingNumpy:
+    """numpy, with a count of its `exp` calls."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        self.exp_calls += 1
+        return np.exp(x)
+
+
+@pytest.mark.parametrize("u, v, calls", [(3.0, 1.0, 3), (0.0, 0.0, 0)])
+def test_evaluate_one_calls_exp_only_above_the_lowest_level(u, v, calls, monkeypatch):
+    # at (3, 1) Psi+ is the one lowest level; at (0, 0) all four are
+    want = core.evaluate_one(u, v)
+    counting = CountingNumpy()
+    monkeypatch.setattr(core, "np", counting)
+    assert core.evaluate_one(u, v) == want
+    assert counting.exp_calls == calls
 
 
 @pytest.mark.parametrize("u, v, message", [
@@ -240,6 +274,10 @@ def test_exp_of_one_float_is_exp_of_an_array():
     got = np.array([float(np.exp(t)) for t in x.tolist()])
     np.testing.assert_array_equal(got.view(np.int64), np.exp(x).view(np.int64))
     assert np.any(np.array([math.exp(t) for t in x.tolist()]) != got)
+    # so no level's weight exceeds the lowest level's, whose exponent, -0.0
+    # or 0.0, evaluate_one does not pass to np.exp: its value is 1.0
+    assert np.all(got <= 1.0)
+    assert float(np.exp(-0.0)) == float(np.exp(0.0)) == 1.0
 
 
 class TestBellStates:

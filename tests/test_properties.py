@@ -11,13 +11,15 @@ region partition, with CHSH violation as the dense oracle finds it; and
 contour roots that sit on grid edges, one per crossed edge and each closed
 loop once, with residuals below the tolerance; and every public entry point
 returning or raising ValueError on odd arguments, a coupling being whatever
-float() reads.
+float() reads, and the scalar routes wording each error as `core.coupling`
+does.
 
 Runs are derandomized by the profile in conftest.py, so the suite draws the
 same examples every time.
 """
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,12 +316,14 @@ def test_a_closed_loop_is_emitted_once():
 # arguments for the fuzz of the entry points: integers beyond the float
 # range, Fractions, Decimals, long doubles beyond the float range and below
 # its least subnormal, 0-d and one-element arrays, bools, strings, bytes,
-# None and complex numbers, numpy's among them, beside plain floats
+# arrays of two values and of none, None and complex numbers, numpy's among
+# them, beside plain floats
 LONG = np.finfo(np.longdouble)
 ODD = [10 ** 400, -10 ** 400, 2 ** 63, Fraction(1, 3), Fraction(10 ** 400, 3),
        Fraction(1, 10 ** 400), Decimal("1.5"), Decimal("sNaN"), Decimal("NaN"),
        Decimal("-Infinity"), Decimal("1e-400"), np.longdouble(1.5), LONG.max, -LONG.max,
-       LONG.smallest_subnormal, np.array(1.0), np.array([1.0]), np.array([-0.5]), True,
+       LONG.smallest_subnormal, np.array(1.0), np.array([1.0]), np.array([-0.5]),
+       np.array([1.0, 2.0]), np.array([]), True,
        False, "3", "x", "nan", b"3", b"x", None, 1 + 2j, 1j, np.complex128(1 + 2j),
        np.complex64(1j), np.array(1 + 2j), np.array([1j]), 0.5, -1.0, 1e-9, 2000.0, 3]
 GRID5 = GridSpec(-10.0, 10.0, -10.0, 10.0, 5, 5)
@@ -329,12 +333,26 @@ ENTRY_POINTS = {
     "GridSpec": (GridSpec, (0.0, 1.0, 0.0, 1.0, 3, 3)),
     "evaluate": (core.evaluate, (3.0, 1.0)),
     "evaluate_one": (core.evaluate_one, (3.0, 1.0)),
+    "evaluate_point": (lambda u, v: evaluate_point(SimpleNamespace(u=u, v=v)), (3.0, 1.0)),
     "boundary_field": (boundary_field(BoundaryQuantity.CHSH_MINUS_2), (3.0, 1.0)),
     "trace_boundary": (lambda tol: trace_boundary(BoundaryQuantity.NEGATIVITY, GRID5, tol=tol),
                        (DEFAULT_ROOT_TOL,)),
     "bisect_root": (lambda *bracket: bisect_root(lambda x: x - 0.25, *bracket),
                     (0.0, 1.0, -0.25, 0.75)),
 }
+
+
+def coupling_texts(args) -> set:
+    """What `core.coupling` says of u and of v, and of the number a
+    one-element array holds, where it rejects them."""
+    texts = set()
+    for name, x in zip("uv", args):
+        for read in [x] + ([x.item()] if isinstance(x, np.ndarray) and x.size == 1 else []):
+            try:
+                core.coupling(name, read)
+            except ValueError as exc:
+                texts.add(str(exc))
+    return texts
 
 
 # an entry point's name and its arguments, each the well-formed one or odd
@@ -348,6 +366,8 @@ entry_calls = st.one_of(*(
 @given(entry_calls)
 @example(("CouplingParams", ("3", 1)))
 @example(("evaluate_one", (b"3", 1)))
+@example(("evaluate_one", (np.array([1.0, 2.0]), 0.0)))
+@example(("evaluate_point", (np.array([]), 0.0)))
 @example(("bisect_root", (1 + 2j, 5.0, -1.0, 1.0)))
 @example(("bisect_root", (object(), 5.0, -1.0, 1.0)))
 @example(("bisect_root", (10 ** 400, 5.0, -1.0, 1.0)))
@@ -356,7 +376,10 @@ def test_entry_points_return_or_raise_a_value_error(case):
     name, args = case
     try:
         result = ENTRY_POINTS[name][0](*args)
-    except ValueError:
+    except ValueError as exc:
+        # the scalar routes word a bad coupling as `core.coupling` words it
+        if name in ("evaluate_one", "evaluate_point"):
+            assert str(exc) in coupling_texts(args)
         return
     # a coupling is whatever float() reads as a finite number within the limit
     if name == "CouplingParams":
