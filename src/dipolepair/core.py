@@ -120,8 +120,10 @@ def coupling(name: str, x) -> float:
     if type(x) in _REAL and abs(x) <= COUPLING_LIMIT:  # nothing to read or reject
         return float(x)
     a = floats(name, x)
-    x = x if a.ndim else float(a)  # float() reads only single numbers
-    if not (type(x) is float and math.isfinite(x)):
+    if a.ndim:
+        raise ValueError(f"{name} must be a single number, got {reprlib.repr(x)}")
+    x = float(a)
+    if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     if abs(x) > COUPLING_LIMIT:
         raise ValueError(f"|{name}| = {abs(x)!r} exceeds the stability limit {COUPLING_LIMIT}")
@@ -172,7 +174,12 @@ def _points(u, v) -> tuple[np.ndarray, np.ndarray]:
     """u and v broadcast against each other, as flat float arrays with one
     entry per point."""
     u, v = floats("u", u), floats("v", v)
-    u, v = (u, v) if u.shape == v.shape else np.broadcast_arrays(u, v)
+    if u.shape != v.shape:
+        try:
+            u, v = np.broadcast_arrays(u, v)
+        except ValueError:
+            raise ValueError(f"u of shape {u.shape} and v of shape {v.shape} "
+                             "do not broadcast together") from None
     return u.ravel(), v.ravel()
 
 

@@ -13,7 +13,10 @@ array core; `evaluate_point` reads its scalar twin, which gives the same
 bits without numpy's per-call cost on one point.  Contours are traced by
 bisecting the sign changes along grid edges in lockstep and joining the
 roots cell by cell (marching squares, saddle cells split by the sign at
-the centre).
+the centre) from the list of crossed edges, each as a side of the cells
+beside it, sorted by cell.  A trace keeps a sign byte and a bool per grid
+point: a chsh `boundary` run peaked at 44 MB RSS at 2001 x 2001 and 81 MB
+at 4001 x 4001 (2 CPUs, Python 3.11, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -221,23 +224,24 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     quantity = BoundaryQuantity(quantity)
     field = boundary_field(quantity)
     us, vs = grid.u_coords(), grid.v_coords()
-    values = np.concatenate([_field_values(quantity, b) for b in evaluate_grid(grid)])
-    values = values.reshape(grid.nv, grid.nu)
-    positive = values >= 0.0
+    # the field's sign at each grid point, all that the crossings and their
+    # bisection read of it: `bisect_root` tests its end values only against
+    # 0.0, and -0.0 and 0.0 both give 0
+    sign = np.concatenate([np.sign(_field_values(quantity, b)).astype(np.int8)
+                           for b in evaluate_grid(grid)]).reshape(grid.nv, grid.nu)
+    positive = sign >= 0
 
     # edge ids in the order (horizontal first, i, j): horizontal edge (i, j)
     # spans u_i..u_{i+1} at v_j, vertical edge (i, j) spans v_j..v_{j+1} at u_i
-    crossed_h = positive[:, :-1] != positive[:, 1:]
-    crossed_v = positive[:-1, :] != positive[1:, :]
-    h_i, h_j = np.nonzero(crossed_h.T)
-    v_i, v_j = np.nonzero(crossed_v.T)
+    h_i, h_j = np.nonzero((positive[:, :-1] != positive[:, 1:]).T)
+    v_i, v_j = np.nonzero((positive[:-1, :] != positive[1:, :]).T)
     horizontal = np.arange(h_i.size + v_i.size) < h_i.size
     fixed = np.concatenate((vs[h_j], us[v_i]))
     along = bisect_root(
         lambda x: field(np.where(horizontal, x, fixed), np.where(horizontal, fixed, x)),
         np.concatenate((us[h_i], vs[v_j])), np.concatenate((us[h_i + 1], vs[v_j + 1])),
-        np.concatenate((values[h_j, h_i], values[v_j, v_i])),
-        np.concatenate((values[h_j, h_i + 1], values[v_j + 1, v_i])),
+        np.concatenate((sign[h_j, h_i], sign[v_j, v_i])),
+        np.concatenate((sign[h_j, h_i + 1], sign[v_j + 1, v_i])),
     )
     root_u = np.where(horizontal, along, fixed)
     root_v = np.where(horizontal, fixed, along)
@@ -249,31 +253,30 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
             f"residual {residual[k]:.3e}, not below the tolerance {tol:g}"
         )
 
-    # crossed-edge id of each side (bottom, right, top, left) of the cells
-    # that have a crossed side, or -1; the signs change an even number of
-    # times around a cell, so it has two crossed sides or, at a saddle, four.
-    # int32 halves the id grids; the point budget keeps edges below 2**31
-    id_h = np.full(crossed_h.shape, -1, dtype=np.int32)
-    id_h[h_j, h_i] = np.arange(h_i.size)
-    id_v = np.full(crossed_v.shape, -1, dtype=np.int32)
-    id_v[v_j, v_i] = h_i.size + np.arange(v_i.size)
-    c_j, c_i = np.nonzero(crossed_h[:-1] | crossed_v[:, 1:] | crossed_h[1:] | crossed_v[:, :-1])
-    sides = np.column_stack((id_h[c_j, c_i], id_v[c_j, c_i + 1],
-                             id_h[c_j + 1, c_i], id_v[c_j, c_i]))
-    # saddle cell: the sign at the centre picks the pairing
-    saddle = np.all(sides >= 0, axis=1)
-    s_j, s_i = c_j[saddle], c_i[saddle]
-    bottom, right, top, left = sides[saddle].T
+    # each crossed edge is a side (0 bottom, 1 right, 2 top, 3 left) of the one
+    # or two cells beside it, cell c = j * n + i spanning u_i..u_{i+1} and
+    # v_j..v_{j+1}.  The signs change an even number of times around a cell,
+    # so sorted by cell and side its records come in twos or, at a saddle, in
+    # fours: bottom, right, top, left
+    n = grid.nu - 1
+    h, v = np.split(np.arange(along.size), [h_i.size])
+    cells = np.concatenate((h_j * n + h_i, (h_j - 1) * n + h_i, v_j * n + v_i - 1, v_j * n + v_i))
+    beside = np.concatenate((h_j < grid.nv - 1, h_j > 0, v_i > 0, v_i < n))
+    sides = np.repeat([0, 2, 1, 3], (h.size, h.size, v.size, v.size))
+    key = (4 * cells + sides)[beside]
+    order = np.argsort(key)
+    pairs = np.concatenate((h, h, v, v))[beside][order].reshape(-1, 2)
+    paired = key[order][::2] // 4  # the cell of each pair
+    # a saddle's pairs as sorted join bottom to right and top to left; the
+    # sign at the centre keeps them or swaps their second sides
+    saddle = np.flatnonzero(paired[:-1] == paired[1:])
+    s_j, s_i = np.divmod(paired[saddle], n)
     centre = field((us[s_i] + us[s_i + 1]) / 2.0, (vs[s_j] + vs[s_j + 1]) / 2.0)
-    with_right = (centre >= 0.0) == positive[s_j, s_i]
-    segments = np.concatenate((
-        np.sort(sides[~saddle])[:, 2:],
-        np.column_stack((bottom, np.where(with_right, right, left))),
-        np.column_stack((top, np.where(with_right, left, right))),
-    ))
+    swap = saddle[(centre >= 0.0) != positive[s_j, s_i]]
+    pairs[swap, 1], pairs[swap + 1, 1] = pairs[swap + 1, 1], pairs[swap, 1]
 
     neighbours: list[list[int]] = [[] for _ in range(along.size)]
-    for a, b in segments.tolist():
+    for a, b in pairs.tolist():
         neighbours[a].append(b)
         neighbours[b].append(a)
     points = list(zip(root_u.tolist(), root_v.tolist()))

@@ -171,6 +171,33 @@ def test_rejects_couplings_outside_the_envelope(u, v, message):
         core.evaluate(u, v)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: CouplingParams(np.array([3.0]), 1), "u must be a single number, got array([3.])"),
+    (lambda: GridSpec(np.array([0.0]), 1, 0, 1, 2, 2),
+     "u_min must be a single number, got array([0.])"),
+    (lambda: core.evaluate_one(np.array([1.0, 2.0]), 0),
+     "u must be a single number, got array([1., 2.])"),
+    (lambda: core.evaluate_one(0.0, [1.0, 2.0]), "v must be a single number, got [1.0, 2.0]"),
+    (lambda: CouplingParams(1.0, np.array([])),
+     "v must be a single number, got array([], dtype=float64)"),
+], ids=["params", "grid", "evaluate_one", "evaluate_one-list", "params-empty"])
+def test_an_array_of_finite_numbers_is_not_a_coupling(call, message):
+    # every value is finite: the text names the shape, not finiteness
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: core.evaluate([1.0, 2.0], [1.0, 2.0, 3.0]),
+    lambda: core.weights([1.0, 2.0], [1.0, 2.0, 3.0]),
+    lambda: boundary_field("chsh")([1.0, 2.0], [1.0, 2.0, 3.0]),
+], ids=["evaluate", "weights", "boundary_field"])
+def test_couplings_that_do_not_broadcast_name_both_shapes(call):
+    with pytest.raises(ValueError, match=r"^u of shape \(2,\) and v of shape \(3,\) do not "
+                                         "broadcast together$"):
+        call()
+
+
 @pytest.mark.parametrize("u", [np.array([1.0]), 1, np.float64(1.0), np.int64(1), "1"])
 def test_evaluate_one_reads_what_evaluate_reads(u):
     rec = core.evaluate_one(u, 0.0)

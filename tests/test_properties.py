@@ -9,7 +9,8 @@ scalar twin's values; Psi-minus never dominant; lockstep bisection equal to
 bracket-by-bracket bisection; the v -> -v parity of the phase plane; the
 region partition, with CHSH violation as the dense oracle finds it; and
 contour roots that sit on grid edges, one per crossed edge and each closed
-loop once, with residuals below the tolerance; and every public entry point
+loop once, with residuals below the tolerance, and saddle cells paired by
+the sign at their centre; and every public entry point
 returning or raising ValueError on odd arguments, a coupling being whatever
 float() reads, and the scalar routes wording each error as `core.coupling`
 does.
@@ -304,6 +305,57 @@ def test_contour_roots_sit_on_crossed_edges(quantity, grid):
         assert all(cells(a) & cells(b) for a, b in zip(pts, pts[1:]))
     if roots:
         assert np.all(np.abs(field(*np.array(roots).T)) < DEFAULT_ROOT_TOL)
+
+
+# all four sides of cell (1, 0) are crossed for each quantity
+SADDLE_GRID = GridSpec(-6.8, 11.5, 1.0, 22.0, 3, 3)
+
+
+@st.composite
+def coarse_grids(draw):
+    """Grids of 2 to 4 points a side, 5 to 20 wide on each axis, near the
+    origin, where the contours bend within a cell: about one in six has a
+    saddle cell for some quantity."""
+    u_min, v_min = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    return GridSpec(u_min, u_min + draw(st.floats(5.0, 20.0)),
+                    v_min, v_min + draw(st.floats(5.0, 20.0)),
+                    draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+
+
+def one_root(roots, at, fixed, lo, hi):
+    """The one root whose coordinate `at` (0 for u, 1 for v) is fixed and
+    whose other lies between lo and hi."""
+    (pt,) = [pt for pt in roots if pt[at] == fixed and lo <= pt[1 - at] <= hi]
+    return pt
+
+
+@settings(max_examples=30)
+@given(coarse_grids())
+@example(SADDLE_GRID)
+def test_saddle_cells_pair_their_roots_by_the_centre_sign(grid):
+    us, vs = grid.u_coords(), grid.v_coords()
+    for quantity in BoundaryQuantity:
+        field = boundary_field(quantity)
+        positive = field(*np.meshgrid(us, vs)) >= 0.0
+        polylines = trace_boundary(quantity, grid)
+        roots = [pt for poly in polylines for pt in poly.points]
+        joined = set()
+        for poly in polylines:
+            pts = poly.points + poly.points[:1] * poly.closed
+            joined.update(frozenset(step) for step in zip(pts, pts[1:]))
+
+        # bottom, right and top crossed, so the left side is crossed too
+        saddles = ((positive[:-1, :-1] != positive[:-1, 1:])
+                   & (positive[:-1, 1:] != positive[1:, 1:])
+                   & (positive[1:, 1:] != positive[1:, :-1]))
+        for j, i in zip(*np.nonzero(saddles)):
+            bottom, top = (one_root(roots, 1, vs[k], us[i], us[i + 1]) for k in (j, j + 1))
+            left, right = (one_root(roots, 0, us[k], vs[j], vs[j + 1]) for k in (i, i + 1))
+            centre = field((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
+            with_right = (centre >= 0.0) == positive[j, i]
+            want = ((bottom, right), (top, left)) if with_right else ((bottom, left), (top, right))
+            steps = ((bottom, right), (top, left), (bottom, left), (top, right))
+            assert {frozenset(p) for p in steps} & joined == {frozenset(p) for p in want}
 
 
 def test_a_closed_loop_is_emitted_once():

@@ -1,6 +1,7 @@
 """Tests for grid scans, region classification and contour tracing."""
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from dipolepair import core
 from dipolepair.core import BellLabel, CouplingParams, Region
 from dipolepair.scan import (
-    GRID_POINT_LIMIT,
     BoundaryQuantity,
     GridSpec,
     GridTooLargeError,
@@ -348,10 +348,16 @@ class TestTraceBoundary:
             polys = trace_boundary(quantity, g)
             assert [(p.closed, p.points) for p in polys] == want
 
-    def test_edge_ids_fit_int32_within_the_point_budget(self):
-        # trace_boundary numbers crossed edges in int32 grids; a grid has
-        # fewer than two edges per point
-        assert 2 * GRID_POINT_LIMIT < 2 ** 31
+    def test_memory_is_a_few_bytes_per_grid_point(self):
+        # a sign byte per point, the crossings and the core's working blocks:
+        # about 4.7 MB at 1001 x 1001, where a float grid alone takes 8 MB
+        tracemalloc.start()
+        try:
+            trace_boundary(BoundaryQuantity.CHSH_MINUS_2, GridSpec(-10, 10, -10, 10, 1001, 1001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_rejects_bad_tolerance(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
