@@ -101,15 +101,15 @@ _REAL = (float, int, np.float64)
 
 def floats(name: str, x) -> np.ndarray:
     """`x` as `np.asarray(x, dtype=float)` reads it, a long double beyond the
-    float range as inf; ValueError if it is complex, not a number or an
-    integer beyond the float range."""
+    float range as inf; ValueError if it is complex, not a number, a ragged
+    sequence or an integer beyond the float range."""
     try:
         if not np.iscomplexobj(x):  # numpy would keep the real part of a numpy complex
             with np.errstate(over="ignore"):
                 return np.asarray(x, dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
-    except TypeError:  # an object that is not a number (None reads as nan)
+    except (TypeError, ValueError):  # not a number (None reads as nan), or ragged
         pass
     raise ValueError(f"{name} must be finite, got {reprlib.repr(x)}")
 

@@ -326,22 +326,19 @@ _SUFFIXES = _byte_table([f",{name},{region.value}\n" for name in _LABEL_NAMES
 def _slice_reprs(b: core.PhaseArrays, columns: list[np.ndarray]
                  ) -> Iterator[tuple[slice, list[np.ndarray]]]:
     """For each slice of up to SLICE_ROWS rows of a block, the slice and
-    the `shortest.reprs` of its u, v and columns, from one call.  u and v
-    repeat each axis coordinate, so each distinct double of theirs is
-    formatted once per block, in the first slice's call, its text trimmed to
-    the padding it needs; doubles are told apart by their bits, so 0.0 and
-    -0.0 keep their own text."""
+    the `shortest.reprs` of its u, v and columns.  u and v repeat each axis
+    coordinate, so each distinct double of theirs is formatted once per
+    block, in one call before the slices, its text trimmed to the padding
+    it needs; doubles are told apart by their bits, so 0.0 and -0.0 keep
+    their own text.  Each slice's columns are formatted in one call."""
     (u, at_u), (v, at_v) = (np.unique(c.view(np.int64), return_inverse=True)
                             for c in (b.u, b.v))
-    distinct = np.concatenate((u, v)).view(np.float64)
+    coordinates = shortest.reprs(np.concatenate((u, v)).view(np.float64))
+    coordinates = coordinates[:, int(coordinates.any(axis=0).argmax()):]
     at_v += u.size
     for at in range(0, b.u.size, SLICE_ROWS):
         s = slice(at, at + SLICE_ROWS)
-        texts = shortest.reprs(np.concatenate([distinct] + [c[s] for c in columns]))
-        if at == 0:
-            coordinates = texts[:distinct.size]
-            coordinates = coordinates[:, int(coordinates.any(axis=0).argmax()):]
-            texts, distinct = texts[distinct.size:], distinct[:0]
+        texts = shortest.reprs(np.concatenate([c[s] for c in columns]))
         yield s, [coordinates[at_u[s]], coordinates[at_v[s]]] + np.split(texts, len(columns))
 
 

@@ -219,9 +219,11 @@ def test_an_integer_beyond_the_float_range_is_a_value_error(call):
 
 
 GRID3 = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
-# numpy complex numbers, which np.asarray(x, dtype=float) reads as their real part
-NUMPY_COMPLEX = {"complex128": np.complex128(1 + 2j), "complex64": np.complex64(1j),
-                 "0d": np.array(1 + 2j), "1d": np.array([1j])}
+# numpy complex numbers, which np.asarray(x, dtype=float) reads as their real
+# part, and values that it rejects with a ValueError in numpy's words
+NOT_REAL = {"complex128": np.complex128(1 + 2j), "complex64": np.complex64(1j),
+            "0d": np.array(1 + 2j), "1d": np.array([1j]),
+            "string": "x", "bytes": b"x", "ragged": [[1.0], [1.0, 2.0]]}
 # entry points given a number first, with the message that rejects it
 FIRST_NUMBER = {
     "params": (lambda x: CouplingParams(x, 1.0), "u must be finite, got {}"),
@@ -243,13 +245,14 @@ FIRST_NUMBER = {
     (lambda: trace_boundary("chsh", GRID3, tol=None), "tolerance must be a real number, got None"),
     (lambda: trace_boundary("chsh", GRID3, tol="x"), "tolerance must be a real number, got 'x'"),
 ] + [(functools.partial(call, x), re.escape(text.format(reprlib.repr(x))) + "$")
-      for call, text in FIRST_NUMBER.values() for x in NUMPY_COMPLEX.values()],
+      for call, text in FIRST_NUMBER.values() for x in NOT_REAL.values()],
     ids=["evaluate-complex", "evaluate-object", "evaluate-v", "evaluate_one",
          "boundary_field", "tol-none", "tol-string"]
-    + [f"{entry}-{kind}" for entry in FIRST_NUMBER for kind in NUMPY_COMPLEX])
+    + [f"{entry}-{kind}" for entry in FIRST_NUMBER for kind in NOT_REAL])
 def test_a_non_number_is_a_value_error(call, message):
-    # np.asarray(x, dtype=float) and `tol > 0.0` raise TypeError on these,
-    # and numpy warns and keeps the real part of a numpy complex number
+    # np.asarray(x, dtype=float) and `tol > 0.0` raise TypeError on some of
+    # these and ValueError in numpy's words on others, and numpy warns and
+    # keeps the real part of a numpy complex number
     with pytest.raises(ValueError, match="^" + message):
         call()
 

@@ -81,10 +81,17 @@ def test_cli_output_hash(argv, digest, capsys):
 
 
 # blocks of 7 points split each 49-point row evenly; blocks of 11 put block
-# edges inside rows and leave a last block of 3 points
-@pytest.mark.parametrize("block_points", [7, 11])
-def test_rows_are_unchanged_across_block_edges(block_points, monkeypatch, capsys):
+# edges inside rows and leave a last block of 3 points; slices of 4 rows
+# split each block of 11 into 3; slices of 50 rows split the one 2401-point
+# block into 49 slices, with slice edges inside rows
+@pytest.mark.parametrize("block_points, slice_rows",
+                         [(7, scan.SLICE_ROWS), (11, scan.SLICE_ROWS), (11, 4),
+                          (scan.BLOCK_POINTS, 50)],
+                         ids=["7", "11", "11-slice4", "slice50"])
+def test_rows_are_unchanged_across_block_edges(block_points, slice_rows, monkeypatch,
+                                               capsys):
     monkeypatch.setattr(scan, "BLOCK_POINTS", block_points)
+    monkeypatch.setattr(scan, "SLICE_ROWS", slice_rows)
     local = [(argv, digest) for argv, digest in GOLDEN if LOCAL[1] in argv]
     assert len(local) == 6  # scan, scan --normalized-negativity, dominant, 3 boundary
     for argv, digest in local:

@@ -6,11 +6,13 @@ double).
 
 Runs are derandomized by the profile in conftest.py, so the suite draws the
 same examples every time.
-The same check over 10**7 patterns in the binades of fixed notation, ten
-batches of a million:
+The same check over 2 * 10**7 patterns, in batches of a million: ten in
+the binades of fixed notation, then ten of raw bit patterns, which reach
+every binade:
 
     PYTHONPATH=src:tests python -c "import test_shortest as t
-    for seed in range(10): t.check_bit_patterns(seed, 10**6, fixed=True)"
+    for seed in range(10): t.check_bit_patterns(seed, 10**6, fixed=True)
+    for seed in range(10, 20): t.check_bit_patterns(seed, 10**6, fixed=False)"
 """
 import numpy as np
 import pytest
