@@ -44,14 +44,15 @@ route.  For such inputs the closed forms guarantee the rest (weights a
 probability vector that never rises with energy, correlations inside the
 Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelity in [1/3, 1], Psi-minus
 never dominant); `tests/test_properties.py` asserts those facts over the
-whole envelope.  `evaluate` serves arrays of points; its scalar twin
-`evaluate_one` makes the same checks on Python floats for one point, where
-some fifty numpy calls on 1-element arrays would cost several times the
-arithmetic, and equals `evaluate` to the bit.  It skips only steps whose
-result is known exactly: the exponential at the lowest level, which is
-1.0, and the search for the largest weight, which is 1/z; see its
-docstring.  Its record, `ScanRecord`, is a named tuple, built in one call
-where a frozen dataclass sets each of its eight fields in turn.
+whole envelope.  `evaluate` serves arrays of points as 1-D columns: three
+energies, their least value with Psi-minus's 0.0, four exponentials, the
+partition sum z and the weights, with no (N, 4) matrix and no search.  Its
+scalar twin `evaluate_one` makes the same checks on Python floats for one
+point, where some fifty numpy calls on 1-element arrays would cost several
+times the arithmetic, and equals `evaluate` to the bit.  Both take the
+largest weight as 1/z and the first label with that weight as dominant;
+the twin also skips the exponential known to be 1.0 (see its docstring)
+and builds its `ScanRecord`, a named tuple, in one call.
 The dense matrices, the channel arithmetic and the sphere quadrature
 behind these closed forms live in `reference`.
 """
@@ -144,8 +145,8 @@ class CouplingParams:
 
 @dataclass(frozen=True)
 class PhaseArrays:
-    """Reported quantities at N coupling points; `dominant` and `region`
-    index LABELS and REGIONS."""
+    """Reported quantities at N coupling points, one 1-D column each;
+    `dominant` and `region` are int8 indices into LABELS and REGIONS."""
 
     u: np.ndarray
     v: np.ndarray
@@ -185,58 +186,58 @@ def _points(u, v) -> tuple[np.ndarray, np.ndarray]:
 
 def weights(u, v) -> np.ndarray:
     """Boltzmann weights of the four Bell levels at each point (u, v)
-    broadcast, shape (N, 4).
+    broadcast, shape (N, 4): the four columns of `_weights` side by side.
 
     Energies are shifted by their minimum before exponentiating, so the
     weights stay finite over the whole envelope, and the partition sum adds
     the levels in label order.
     """
-    return _weights(*_points(u, v))
+    return np.stack(_weights(*_points(u, v))[:4], axis=1)
 
 
-def _weights(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`weights` at the points `_points` has read: checks each coupling
-    within the envelope, u first."""
+def _weights(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`weights` at the points `_points` has read, one column per level in
+    label order, then the largest weight, 1.0 / z (see `evaluate_one`);
+    checks each coupling within the envelope, u first."""
     for name, x in (("u", u), ("v", v)):
         outside = x[~(np.abs(x) <= COUPLING_LIMIT)]
         if outside.size:  # raises on the first value not finite, else the first beyond
             coupling(name, outside[np.argmin(np.isfinite(outside))].item())
-    e = np.empty((u.size, 4))
-    e[:, 0] = (u + 3.0 * v) / 6.0
-    e[:, 1] = (u - 3.0 * v) / 6.0
-    e[:, 2] = -u / 3.0
-    e[:, 3] = 0.0
-    scaled = np.exp(-(e - e.min(axis=1)[:, None]))
-    z = ((scaled[:, 0] + scaled[:, 1]) + scaled[:, 2]) + scaled[:, 3]
-    return scaled / z[:, None]
+    e = ((u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0)
+    m = np.minimum(np.minimum(np.minimum(e[0], e[1]), e[2]), 0.0)  # Psi-'s level is 0.0
+    # exp(-(e - m)): m - e is -(e - m) up to the sign of a zero, whose exp is
+    # 1.0 either way, and -(0.0 - m) is m
+    s = [np.exp(m - x) for x in e] + [np.exp(m)]
+    z = ((s[0] + s[1]) + s[2]) + s[3]
+    return (*(x / z for x in s), 1.0 / z)
 
 
 def evaluate(u, v) -> PhaseArrays:
     """All reported quantities of the thermal state at each point (u, v),
-    with u and v broadcast against each other.
+    with u and v broadcast against each other, one 1-D column each.
 
     The dominant label is the highest weight; exact ties fall to the
-    earlier label.
+    earlier label.  `dominant` and `region` are int8 indices into LABELS
+    and REGIONS.
     """
     u, v = _points(u, v)
-    w = _weights(u, v)
-    pp, pm, sp, sm = w.T
-    c = np.empty((u.size, 3))
-    c[:, 0] = pp - pm + sp - sm
-    c[:, 1] = -pp + pm + sp - sm
-    c[:, 2] = pp + pm - sp - sm
+    pp, pm, sp, sm, w_max = _weights(u, v)
+    c = (pp - pm + sp - sm, -pp + pm + sp - sm, pp + pm - sp - sm)
     # Python's float ** 2 goes through libm pow, which can differ from x * x
     # in the last bit; `evaluate_one` squares that way, so this one does too
     # (float_power calls pow; np.power and x * x may not)
-    a, b, s = np.float_power(c, 2.0).T
+    a, b, s = (np.float_power(x, 2.0, out=x) for x in c)
     chsh = 2.0 * np.sqrt(np.maximum(np.maximum(a + b, a + s), b + s))
-    best = np.argmax(w, axis=1)
-    w_max = w[np.arange(u.size), best]
+    # the first label whose weight is the largest: later labels are overwritten
+    dominant = np.full(u.size, 3, np.int8)
+    for label, w in ((2, sp), (1, pm), (0, pp)):
+        dominant[w == w_max] = label
     negativity = np.maximum(0.0, w_max - 0.5)
-    region = np.where(negativity < SEPARABLE_NEGATIVITY_TOL, 0,
-                      np.where(chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL, 2, 1))
+    region = np.ones(u.size, np.int8)
+    region[chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL] = 2
+    region[negativity < SEPARABLE_NEGATIVITY_TOL] = 0
     return PhaseArrays(u=u, v=v, chsh=chsh, negativity=negativity,
-                       fidelity=(1.0 + 2.0 * w_max) / 3.0, dominant=best,
+                       fidelity=(1.0 + 2.0 * w_max) / 3.0, dominant=dominant,
                        dominant_weight=w_max, region=region)
 
 

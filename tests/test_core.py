@@ -106,7 +106,9 @@ def test_matches_evaluate_point_at_scattered_points():
     # lowest level, 1/z as the largest weight): the integer lattice, with
     # exact ties between levels and u = 0, where e2 = -u/3 is -0.0; the same
     # lattice in units of the least subnormal, where the energies' divisions
-    # round to 0; and the corners of the envelope
+    # round to 0; and the corners of the envelope.  Both routes take the
+    # largest weight as 1/z, so each is also held to the public weights: the
+    # first maximum by np.argmax, and the largest weight by max, to the bit
     rng = np.random.default_rng(5)
     g = np.arange(-12.0, 13.0)
     u = np.concatenate([rng.uniform(-12, 12, 3000), rng.uniform(-2000, 2000, 200),
@@ -117,6 +119,9 @@ def test_matches_evaluate_point_at_scattered_points():
                         [2000.0, -2000.0, 2000.0, -2000.0]])
     for args in ((u, v), ([1.0, 2.0, 3.0], 1.0), (1.0, [1.0, 2.0, 3.0])):
         b = core.evaluate(*args)
+        w = core.weights(*args)
+        assert np.array_equal(b.dominant, np.argmax(w, axis=1))
+        assert np.array_equal(b.dominant_weight.view(np.int64), w.max(axis=1).view(np.int64))
         us, vs = (x.tolist() for x in np.broadcast_arrays(*args))
         assert {len(column) for column in vars(b).values()} == {len(us)}
         for k, (uk, vk) in enumerate(zip(us, vs)):

@@ -10,6 +10,7 @@ import pytest
 from dipolepair import core
 from dipolepair.core import BellLabel, CouplingParams, Region
 from dipolepair.scan import (
+    BLOCK_POINTS,
     BoundaryQuantity,
     GridSpec,
     GridTooLargeError,
@@ -358,6 +359,20 @@ class TestTraceBoundary:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_core_block_memory_per_point(self):
+        # one block of the core works in 1-D columns, with int8 labels and
+        # regions: about 112 bytes per point at its peak
+        rng = np.random.default_rng(3)
+        u, v = rng.uniform(-10, 10, (2, BLOCK_POINTS))
+        core.evaluate(u, v)  # warm-up: numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            core.evaluate(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 124 * BLOCK_POINTS
 
     def test_rejects_bad_tolerance(self):
         g = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
