@@ -118,6 +118,17 @@ def _emit(text: Iterable[str], out_path: str | None) -> None:
         raise
 
 
+def _error(message: str) -> None:
+    """Print one `error:` line to stderr, or drop it where stderr cannot be
+    written: closed at start (None, where `print` would write to stdout),
+    a closed pipe, or a read-only fd 2 that a launcher script left open."""
+    if sys.stderr is not None:
+        try:
+            print(f"error: {message}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+
+
 def _fuse_option_values(argv: list[str]) -> list[str]:
     """Join --u, --v and --tol with their value so tokens like -10:10:81,
     -1e-9 or -inf are not mistaken for option flags."""
@@ -146,9 +157,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     out_path = getattr(args, "out", None)
     target = None
     try:
-        # write through a link; reject a path that cannot name a regular
-        # file (a directory, a FIFO, a device, a link loop) before
-        # evaluating anything
+        # write through a link; reject a stdout that was closed at start
+        # (`sys.stdout` is None) and a path that cannot name a regular file
+        # (a directory, a FIFO, a device, a link loop) before evaluating
+        # anything
+        if out_path is None and sys.stdout is None:
+            raise OSError("not open")
         if out_path is not None:
             target = os.path.realpath(out_path)
             if not os.path.basename(out_path) or (os.path.lexists(target)
@@ -168,14 +182,14 @@ def run_cli(argv: list[str] | None = None) -> int:
             text = dominant_rows(evaluate_grid(_grid_from_args(args)))
         _emit(text, target)
     except GridTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_RESOURCE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_USAGE
     except OSError as exc:
         target = "stdout" if out_path is None else out_path
-        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        _error(f"cannot write {target}: {exc.strerror or exc}")
         return EXIT_USAGE
     return EXIT_OK
 
@@ -206,7 +220,7 @@ def main() -> None:
         signum = exc.args[0]
         signal.signal(signum, signal.SIG_DFL)
         word = "interrupted" if signum == signal.SIGINT else "terminated"
-        print(f"error: {word}", file=sys.stderr, flush=True)
+        _error(word)
         os.kill(os.getpid(), signum)
         status = 128 + signum  # only if the signal did not end the process
     finally:

@@ -8,15 +8,15 @@ Each grid point is classified into one of three regions:
 
 Three signed boundary fields share the same zero sets as the physically
 interesting transitions: chsh - 2, max_a p_a - 1/2 (signed version of the
-negativity onset) and fidelity - 2/3.  Scans, maps and contours read the
-array core; `evaluate_point` reads its scalar twin, which gives the same
-bits without numpy's per-call cost on one point.  Contours are traced by
-bisecting the sign changes along grid edges in lockstep and joining the
-roots cell by cell (marching squares, saddle cells split by the sign at
-the centre) from the list of crossed edges, each as a side of the cells
-beside it, sorted by cell.  A trace keeps a sign byte and a bool per grid
-point: a chsh `boundary` run peaked at 44 MB RSS at 2001 x 2001 and 81 MB
-at 4001 x 4001 (2 CPUs, Python 3.11, numpy 2.4).
+negativity onset) and fidelity - 2/3, all read through `boundary_field`.
+Grid points are addressed by index, `GridSpec.coords(i, j)` being the one
+rule to coordinates, so no axis is built whole.  Scans, maps and contours
+read the array core; `evaluate_point` reads its scalar twin.  Contours
+bisect the sign changes along grid edges in lockstep and join the roots
+cell by cell (marching squares, saddles split by the sign at the centre).
+A crossed edge is (i, j) along (di, dj), (1, 0) or (0, 1), a side of cells
+(i, j) and (i - dj, j - di).  A chsh `boundary` run peaked at 44 MB RSS at
+2001 x 2001 and 81 MB at 4001 x 4001 (2 CPUs, Python 3.11, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -57,8 +57,9 @@ class GridTooLargeError(ValueError):
 class GridSpec:
     """Uniform rectangular grid over the coupling plane.
 
-    Coordinates follow min + i * ((max - min) / (count - 1)): the first is
-    exactly min, and the last can miss max by rounding.
+    `coords(i, j)` follows min + index * ((max - min) / (count - 1)) on each
+    axis: the first coordinate is exactly min, and the last can miss max by
+    rounding.
     """
 
     u_min: float
@@ -69,8 +70,8 @@ class GridSpec:
     nv: int
 
     def __post_init__(self):
-        # bounds are checked before any axis is built: the step (max - min)
-        # / (count - 1) of bounds near the float range overflows
+        # bounds are checked before any coordinate is computed: the step
+        # (max - min) / (count - 1) of bounds near the float range overflows
         for name in ("u_min", "u_max", "v_min", "v_max"):
             object.__setattr__(self, name, core.coupling(name, getattr(self, name)))
         for name in ("nu", "nv"):
@@ -93,29 +94,29 @@ class GridSpec:
             )
         # coordinates grow with the index, so the end points are the extremes;
         # the first is the min bound, and the last can overshoot max by an ulp
-        core.coupling("u", _axis(self.u_min, self.u_max, self.nu, self.nu - 1))
-        core.coupling("v", _axis(self.v_min, self.v_max, self.nv, self.nv - 1))
+        for name, end in zip(("u", "v"), self.coords(self.nu - 1, self.nv - 1)):
+            core.coupling(name, end)
 
-    def u_coords(self) -> np.ndarray:
-        return _axis(self.u_min, self.u_max, self.nu, np.arange(self.nu))
+    def coords(self, i, j):
+        """(u, v) at u index i and v index j, integers or integer arrays."""
+        return (self.u_min + i * ((self.u_max - self.u_min) / (self.nu - 1)),
+                self.v_min + j * ((self.v_max - self.v_min) / (self.nv - 1)))
 
-    def v_coords(self) -> np.ndarray:
-        return _axis(self.v_min, self.v_max, self.nv, np.arange(self.nv))
 
-
-def _axis(lo: float, hi: float, n: int, indices: np.ndarray | int) -> np.ndarray | float:
-    return lo + indices * ((hi - lo) / (n - 1))
+def _blocks(grid: GridSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(u, v) of each row-major run of BLOCK_POINTS grid points, from the
+    runs' own indices: no axis is built whole."""
+    total = grid.nu * grid.nv
+    for start in range(0, total, BLOCK_POINTS):
+        k = np.arange(start, min(start + BLOCK_POINTS, total))
+        yield grid.coords(k % grid.nu, k // grid.nu)
 
 
 def evaluate_grid(grid: GridSpec) -> Iterator[core.PhaseArrays]:
     """The core evaluated on consecutive row-major runs (v outer, u inner)
     of grid points, BLOCK_POINTS at a time, so memory does not grow with
-    the grid."""
-    us, vs = grid.u_coords(), grid.v_coords()
-    total = grid.nu * grid.nv
-    for start in range(0, total, BLOCK_POINTS):
-        k = np.arange(start, min(start + BLOCK_POINTS, total))
-        yield core.evaluate(us[k % grid.nu], vs[k // grid.nu])
+    the grid or with either axis."""
+    return (core.evaluate(u, v) for u, v in _blocks(grid))
 
 
 def evaluate_point(params: CouplingParams) -> ScanRecord:
@@ -125,22 +126,18 @@ def evaluate_point(params: CouplingParams) -> ScanRecord:
     return core.evaluate_one(params.u, params.v)
 
 
-def _field_values(quantity: BoundaryQuantity, p: core.PhaseArrays) -> np.ndarray:
-    if quantity is BoundaryQuantity.CHSH_MINUS_2:
-        return p.chsh - 2.0
-    if quantity is BoundaryQuantity.NEGATIVITY:
-        # signed distance through the entanglement onset: max weight - 1/2
-        return p.dominant_weight - 0.5
-    return p.fidelity - 2.0 / 3.0
-
-
 def boundary_field(quantity: BoundaryQuantity) -> Callable:
     """Signed field whose zero set is the requested boundary, read from the
     array core; it takes u, v as floats (giving a float) or arrays."""
-    quantity = BoundaryQuantity(quantity)
+    # a column of the core less its threshold; max weight - 1/2 is the signed
+    # distance through the entanglement onset
+    column, threshold = {BoundaryQuantity.CHSH_MINUS_2: ("chsh", 2.0),
+                         BoundaryQuantity.NEGATIVITY: ("dominant_weight", 0.5),
+                         BoundaryQuantity.FIDELITY_MINUS_TWO_THIRDS: ("fidelity", 2.0 / 3.0),
+                         }[BoundaryQuantity(quantity)]
 
     def field(u, v):
-        values = _field_values(quantity, core.evaluate(u, v))
+        values = getattr(core.evaluate(u, v), column) - threshold
         values = values.reshape(np.broadcast_shapes(np.shape(u), np.shape(v)))
         return float(values) if values.ndim == 0 else values
 
@@ -223,26 +220,27 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     tol = float(tol)
     quantity = BoundaryQuantity(quantity)
     field = boundary_field(quantity)
-    us, vs = grid.u_coords(), grid.v_coords()
     # the field's sign at each grid point, all that the crossings and their
     # bisection read of it: `bisect_root` tests its end values only against
     # 0.0, and -0.0 and 0.0 both give 0
-    sign = np.concatenate([np.sign(_field_values(quantity, b)).astype(np.int8)
-                           for b in evaluate_grid(grid)]).reshape(grid.nv, grid.nu)
+    sign = np.concatenate([np.sign(field(u, v)).astype(np.int8)
+                           for u, v in _blocks(grid)]).reshape(grid.nv, grid.nu)
     positive = sign >= 0
 
-    # edge ids in the order (horizontal first, i, j): horizontal edge (i, j)
-    # spans u_i..u_{i+1} at v_j, vertical edge (i, j) spans v_j..v_{j+1} at u_i
-    h_i, h_j = np.nonzero((positive[:, :-1] != positive[:, 1:]).T)
-    v_i, v_j = np.nonzero((positive[:-1, :] != positive[1:, :]).T)
-    horizontal = np.arange(h_i.size + v_i.size) < h_i.size
-    fixed = np.concatenate((vs[h_j], us[v_i]))
+    # each crossed edge as (i, j) along (di, dj), (1, 0) or (0, 1): it joins
+    # grid points (i, j) and (i + di, j + dj).  Edge ids run through the
+    # horizontal edges, then the vertical ones, each by i, then by j
+    h, v = (np.nonzero((positive[:grid.nv - dj, :grid.nu - di] != positive[dj:, di:]).T)
+            for di, dj in ((1, 0), (0, 1)))
+    i, j = np.concatenate((h[0], v[0])), np.concatenate((h[1], v[1]))
+    horizontal = np.arange(i.size) < h[0].size
+    di, dj = horizontal.astype(int), (~horizontal).astype(int)
+    (u0, v0), (u1, v1) = grid.coords(i, j), grid.coords(i + di, j + dj)
+    fixed = np.where(horizontal, v0, u0)
     along = bisect_root(
         lambda x: field(np.where(horizontal, x, fixed), np.where(horizontal, fixed, x)),
-        np.concatenate((us[h_i], vs[v_j])), np.concatenate((us[h_i + 1], vs[v_j + 1])),
-        np.concatenate((sign[h_j, h_i], sign[v_j, v_i])),
-        np.concatenate((sign[h_j, h_i + 1], sign[v_j + 1, v_i])),
-    )
+        np.where(horizontal, u0, v0), np.where(horizontal, u1, v1),
+        sign[j, i], sign[j + dj, i + di])
     root_u = np.where(horizontal, along, fixed)
     root_v = np.where(horizontal, fixed, along)
     residual = np.abs(field(root_u, root_v))
@@ -254,24 +252,25 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
         )
 
     # each crossed edge is a side (0 bottom, 1 right, 2 top, 3 left) of the one
-    # or two cells beside it, cell c = j * n + i spanning u_i..u_{i+1} and
-    # v_j..v_{j+1}.  The signs change an even number of times around a cell,
-    # so sorted by cell and side its records come in twos or, at a saddle, in
-    # fours: bottom, right, top, left
+    # or two cells beside it, cell c = j * n + i spanning grid points (i, j) to
+    # (i + 1, j + 1): side 0 or 3 of cell (i, j) and side 2 or 1 of cell
+    # (i - dj, j - di).  The signs change an even number of times around a
+    # cell, so sorted by cell and side its records come in twos or, at a
+    # saddle, in fours: bottom, right, top, left
     n = grid.nu - 1
-    h, v = np.split(np.arange(along.size), [h_i.size])
-    cells = np.concatenate((h_j * n + h_i, (h_j - 1) * n + h_i, v_j * n + v_i - 1, v_j * n + v_i))
-    beside = np.concatenate((h_j < grid.nv - 1, h_j > 0, v_i > 0, v_i < n))
-    sides = np.repeat([0, 2, 1, 3], (h.size, h.size, v.size, v.size))
+    cells = np.concatenate((j * n + i, (j - di) * n + i - dj))
+    sides = np.concatenate((3 * dj, 2 - dj))
+    beside = np.concatenate(((i < n) & (j < grid.nv - 1), (i >= dj) & (j >= di)))
     key = (4 * cells + sides)[beside]
     order = np.argsort(key)
-    pairs = np.concatenate((h, h, v, v))[beside][order].reshape(-1, 2)
+    pairs = np.tile(np.arange(along.size), 2)[beside][order].reshape(-1, 2)
     paired = key[order][::2] // 4  # the cell of each pair
     # a saddle's pairs as sorted join bottom to right and top to left; the
     # sign at the centre keeps them or swaps their second sides
     saddle = np.flatnonzero(paired[:-1] == paired[1:])
     s_j, s_i = np.divmod(paired[saddle], n)
-    centre = field((us[s_i] + us[s_i + 1]) / 2.0, (vs[s_j] + vs[s_j + 1]) / 2.0)
+    (u0, v0), (u1, v1) = grid.coords(s_i, s_j), grid.coords(s_i + 1, s_j + 1)
+    centre = field((u0 + u1) / 2.0, (v0 + v1) / 2.0)
     swap = saddle[(centre >= 0.0) != positive[s_j, s_i]]
     pairs[swap, 1], pairs[swap + 1, 1] = pairs[swap + 1, 1], pairs[swap, 1]
 

@@ -38,11 +38,8 @@ GRID81 = GridSpec(-10.0, 10.0, -10.0, 10.0, 81, 81)
 
 
 def grid_params(grid):
-    return [
-        CouplingParams(float(u), float(v))
-        for v in grid.v_coords()
-        for u in grid.u_coords()
-    ]
+    us, vs = grid.coords(np.arange(grid.nu), np.arange(grid.nv))
+    return [CouplingParams(float(u), float(v)) for v in vs for u in us]
 
 
 def report(num, ok, detail):
@@ -78,7 +75,7 @@ def test_criterion_2_thermal_state_matches_gibbs_oracle():
 
 def test_criterion_3_negativity_closed_form_vs_definition():
     worst = 0.0
-    closed = core.evaluate(*np.meshgrid(GRID41.u_coords(), GRID41.v_coords())).negativity
+    closed = core.evaluate(*np.meshgrid(*GRID41.coords(np.arange(41), np.arange(41)))).negativity
     for p, n in zip(grid_params(GRID41), closed.tolist()):
         full = negativity(thermal_state(p)).value
         worst = max(worst, abs(n - full))

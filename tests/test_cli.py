@@ -277,6 +277,31 @@ class TestUsage:
         assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == handlers
 
 
+def child_env() -> dict:
+    """The environment of a CLI child, with this package on its path."""
+    path = os.pathsep.join(filter(None, (os.path.dirname(os.path.dirname(core.__file__)),
+                                         os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _read_only_stderr():
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+@pytest.mark.parametrize("start, u, err", [
+    # Python starts with sys.stdout None: one error line, exit 2
+    (lambda: os.close(1), "3", b"error: cannot write stdout: not open\n"),
+    # sys.stderr None: the error line is dropped, not written into the CSV
+    (lambda: os.close(2), "nan", b""),
+    # a stderr that cannot be written, as a launcher script can leave fd 2
+    (_read_only_stderr, "nan", b""),
+], ids=["closed-stdout", "closed-stderr", "read-only-stderr"])
+def test_an_unusable_stream_at_start_gets_no_traceback_and_no_error_on_stdout(start, u, err):
+    done = subprocess.run([sys.executable, "-m", "dipolepair", "point", "--u", u, "--v", "1"],
+                          capture_output=True, env=child_env(), timeout=60.0, preexec_fn=start)
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", err)
+
+
 def _default_sigint():
     # a child started from a shell without job control inherits SIGINT
     # ignored, and the CLI leaves an ignored signal ignored
@@ -291,12 +316,10 @@ def test_a_signal_removes_the_temporary_file(signum, word, tmp_path):
     # temporary file exists, so the run is stopped while writing
     out = tmp_path / "F"
     out.write_bytes(b"old bytes\n")
-    path = os.pathsep.join(filter(None, (os.path.dirname(os.path.dirname(core.__file__)),
-                                         os.environ.get("PYTHONPATH"))))
     child = subprocess.Popen(
         [sys.executable, "-m", "dipolepair", "scan", "--u", "-10:10:2001",
          "--v", "-10:10:2001", "--out", str(out)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         preexec_fn=_default_sigint)
     try:
         deadline = time.monotonic() + 30.0

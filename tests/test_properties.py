@@ -276,7 +276,7 @@ def grids(draw):
 @given(st.sampled_from(list(BoundaryQuantity)), grids())
 def test_contour_roots_sit_on_crossed_edges(quantity, grid):
     field = boundary_field(quantity)
-    us, vs = grid.u_coords(), grid.v_coords()
+    us, vs = grid.coords(np.arange(grid.nu), np.arange(grid.nv))
     positive = field(*np.meshgrid(us, vs)) >= 0.0
     # a crossed edge as (fixed axis, fixed value, along-axis interval, the
     # cells (i, j) it is a side of); cells off the grid never meet
@@ -333,7 +333,7 @@ def one_root(roots, at, fixed, lo, hi):
 @given(coarse_grids())
 @example(SADDLE_GRID)
 def test_saddle_cells_pair_their_roots_by_the_centre_sign(grid):
-    us, vs = grid.u_coords(), grid.v_coords()
+    us, vs = grid.coords(np.arange(grid.nu), np.arange(grid.nv))
     for quantity in BoundaryQuantity:
         field = boundary_field(quantity)
         positive = field(*np.meshgrid(us, vs)) >= 0.0

@@ -32,18 +32,31 @@ U_STAR_V1 = 2.679576426508122
 class TestGridSpec:
     def test_coordinates(self):
         g = GridSpec(0.0, 1.0, -1.0, 1.0, 2, 3)
-        np.testing.assert_array_equal(g.u_coords(), [0.0, 1.0])
-        np.testing.assert_array_equal(g.v_coords(), [-1.0, 0.0, 1.0])
+        us, vs = g.coords(np.arange(2), np.arange(3))
+        np.testing.assert_array_equal(us, [0.0, 1.0])
+        np.testing.assert_array_equal(vs, [-1.0, 0.0, 1.0])
         # min + i * ((max - min) / (count - 1)), which the output bytes are
         # held to: the last coordinate is not snapped onto max
         g = GridSpec(-10.555095128477667, 7.654342944142182, 0.0, 1.0, 109, 2)
-        assert g.u_coords()[0] == -10.555095128477667
-        assert g.u_coords()[-1] == 7.654342944142183
+        assert g.coords(0, 0)[0] == -10.555095128477667
+        assert g.coords(108, 0)[0] == 7.654342944142183
 
     def test_corners_exact(self):
         g = GridSpec(-10.0, 10.0, -10.0, 10.0, 81, 81)
-        assert g.u_coords()[0] == -10.0 and g.u_coords()[-1] == 10.0
-        assert g.v_coords()[0] == -10.0 and g.v_coords()[-1] == 10.0
+        assert g.coords(0, 0) == (-10.0, -10.0)
+        assert g.coords(80, 80) == (10.0, 10.0)
+
+    def test_coordinates_of_an_index_array_are_those_of_each_index(self):
+        # evaluate_grid and trace_boundary take coordinates of index arrays,
+        # the end check of the bounds those of one integer index
+        g = GridSpec(-10.555095128477667, 7.654342944142182, -2000.0, 1999.9, 109, 257)
+        i, j = np.arange(109), np.arange(257)
+        us, vs = g.coords(i, j)
+        for a, b in ((us, [g.coords(k, 0)[0] for k in range(109)]),
+                     (vs, [g.coords(0, k)[1] for k in range(257)]),
+                     (us, [g.coords(k, 0)[0] for k in i]),
+                     (vs, [g.coords(0, k)[1] for k in j])):
+            np.testing.assert_array_equal(a.view(np.int64), np.array(b).view(np.int64))
 
     def test_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):
@@ -77,7 +90,7 @@ class TestGridSpec:
             GridSpec(-2000.0, 2000.0, 0.0, 1.0, 16, 2)
         with pytest.raises(ValueError, match=beyond_limit("v", 2000.0000000000005)):
             GridSpec(0.0, 1.0, -2000.0, 2000.0, 2, 16)
-        assert GridSpec(-2000.0, 2000.0, -2000.0, 2000.0, 41, 41).u_coords()[-1] == 2000.0
+        assert GridSpec(-2000.0, 2000.0, -2000.0, 2000.0, 41, 41).coords(40, 40) == (2000.0, 2000.0)
 
     def test_point_budget(self):
         with pytest.raises(GridTooLargeError, match=re.escape(
@@ -202,6 +215,21 @@ class TestEvaluateGrid:
                                    p.dominant_weight.tolist()):
             w = core.weights(u, v)[0]
             assert weight == w[core.LABELS[d]] == w.max()
+
+    def test_memory_does_not_grow_with_an_axis(self):
+        # each block's coordinates come from its own indices: about 3 MB at
+        # 10^6 x 2 and 2.2 MB at 10^4 x 2, where a whole u axis took 16 MB
+        def peak(nu):
+            tracemalloc.start()
+            try:
+                for _ in evaluate_grid(GridSpec(-10.0, 10.0, -10.0, 10.0, nu, 2)):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10 ** 4), peak(10 ** 6)
+        assert large < 4e6 and large < 1.5 * small
 
 
 class TestBisection:
