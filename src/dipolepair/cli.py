@@ -46,8 +46,18 @@ def _worker_count(text: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error writes nothing when stderr was
+    closed at start: argparse would print the usage text to stdout."""
+
+    def error(self, message):
+        if sys.stderr is None:
+            self.exit(EXIT_USAGE)
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dipolepair",
         description=(
             "Entanglement, CHSH nonlocality and teleportation fidelity of a "

@@ -51,8 +51,13 @@ scalar twin `evaluate_one` makes the same checks on Python floats for one
 point, where some fifty numpy calls on 1-element arrays would cost several
 times the arithmetic, and equals `evaluate` to the bit.  Both take the
 largest weight as 1/z and the first label with that weight as dominant;
-the twin also skips the exponential known to be 1.0 (see its docstring)
-and builds its `ScanRecord`, a named tuple, in one call.
+the twin also skips the exponential known to be 1.0 (see
+`evaluate_floats`) and builds its `ScanRecord`, a named tuple, in one call.
+The twin reads its input once: `evaluate_one` checks the two couplings and
+hands two floats to `evaluate_floats`, the arithmetic alone, which
+`scan.evaluate_point` calls directly with a `CouplingParams`' floats,
+checked when it was built; any other params object is read as
+`evaluate_one` reads its u and v.
 The dense matrices, the channel arithmetic and the sphere quadrature
 behind these closed forms live in `reference`.
 """
@@ -197,7 +202,7 @@ def weights(u, v) -> np.ndarray:
 
 def _weights(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """`weights` at the points `_points` has read, one column per level in
-    label order, then the largest weight, 1.0 / z (see `evaluate_one`);
+    label order, then the largest weight, 1.0 / z (see `evaluate_floats`);
     checks each coupling within the envelope, u first."""
     for name, x in (("u", u), ("v", v)):
         outside = x[~(np.abs(x) <= COUPLING_LIMIT)]
@@ -241,6 +246,11 @@ def evaluate(u, v) -> PhaseArrays:
                        dominant_weight=w_max, region=region)
 
 
+# the callables `evaluate_floats` calls, bound once here: one name each, not
+# an attribute looked up on every call
+_exp, _sqrt, _new = np.exp, math.sqrt, tuple.__new__
+
+
 def evaluate_one(u, v) -> ScanRecord:
     """`evaluate` at the single point (u, v), as a record of Python floats
     and the dominant label and region themselves.
@@ -248,8 +258,22 @@ def evaluate_one(u, v) -> ScanRecord:
     Anything but two plain numbers within the envelope is read as
     `evaluate` reads it, a 1-element array included, and checked by
     `coupling`, so an array of another size is worded as `CouplingParams`
-    words it.  Each value equals the core's to the bit, though two steps
-    are skipped because their result is known exactly:
+    words it.  The checked floats then go to `evaluate_floats`.
+    """
+    if not (type(u) in _REAL and type(v) in _REAL
+            and abs(u) <= COUPLING_LIMIT and abs(v) <= COUPLING_LIMIT):
+        read = floats("u", u), floats("v", v)  # both, as `evaluate` reads them
+        u, v = (coupling(name, a.item() if a.size == 1 else x)
+                for name, a, x in zip("uv", read, (u, v)))
+    return evaluate_floats(float(u), float(v))
+
+
+def evaluate_floats(u: float, v: float) -> ScanRecord:
+    """`evaluate_one` on two Python floats within the envelope, as
+    `CouplingParams` holds them, with no check of its own.
+
+    Each value equals the core's to the bit, though two steps are skipped
+    because their result is known exactly:
     - The level at the least energy is not exponentiated: its exponent is
       0.0 or -0.0, whose `np.exp` is 1.0.  Every other exponential is
       `np.exp` of one float below 0, at most 1.0, with the bits of the loop
@@ -261,21 +285,15 @@ def evaluate_one(u, v) -> ScanRecord:
     to those `min` and `np.maximum` pick, and squares use Python's float
     `**` (libm pow, as `np.float_power` does).
     """
-    if not (type(u) in _REAL and type(v) in _REAL
-            and abs(u) <= COUPLING_LIMIT and abs(v) <= COUPLING_LIMIT):
-        read = floats("u", u), floats("v", v)  # both, as `evaluate` reads them
-        u, v = (coupling(name, a.item() if a.size == 1 else x)
-                for name, a, x in zip("uv", read, (u, v)))
-    u, v = float(u), float(v)
     e0, e1, e2 = (u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0
     # the least energy, never above Psi-'s 0.0: e0 > 0 and e1 > 0 need u > |3v|, so e2 < 0
     m = e0 if e0 < e1 else e1
     if e2 < m:
         m = e2
-    s0 = 1.0 if e0 == m else float(np.exp(-(e0 - m)))
-    s1 = 1.0 if e1 == m else float(np.exp(-(e1 - m)))
-    s2 = 1.0 if e2 == m else float(np.exp(-(e2 - m)))
-    s3 = 1.0 if m == 0.0 else float(np.exp(m))  # m is -(0.0 - m) exactly
+    s0 = 1.0 if e0 == m else float(_exp(-(e0 - m)))
+    s1 = 1.0 if e1 == m else float(_exp(-(e1 - m)))
+    s2 = 1.0 if e2 == m else float(_exp(-(e2 - m)))
+    s3 = 1.0 if m == 0.0 else float(_exp(m))  # m is -(0.0 - m) exactly
     z = ((s0 + s1) + s2) + s3
     w = (s0 / z, s1 / z, s2 / z, s3 / z)
     pp, pm, sp, sm = w
@@ -284,12 +302,12 @@ def evaluate_one(u, v) -> ScanRecord:
     s = (pp + pm - sp - sm) ** 2.0
     # rounding is monotone, so the largest pair sum is the sum without the least
     top = (b + s if a < s else a + b) if a < b else (a + s if b < s else a + b)
-    chsh = 2.0 * math.sqrt(top)
+    chsh = 2.0 * _sqrt(top)
     w_max = 1.0 / z
     best = w.index(w_max)
     negativity = w_max - 0.5 if w_max > 0.5 else 0.0
     region = (0 if negativity < SEPARABLE_NEGATIVITY_TOL
               else 2 if chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL else 1)
     # the call ScanRecord's generated __new__ makes, without its Python frame
-    return tuple.__new__(ScanRecord, (u, v, chsh, negativity, (1.0 + 2.0 * w_max) / 3.0,
-                                      w_max, LABELS[best], REGIONS[region]))
+    return _new(ScanRecord, (u, v, chsh, negativity, (1.0 + 2.0 * w_max) / 3.0,
+                             w_max, LABELS[best], REGIONS[region]))

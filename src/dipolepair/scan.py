@@ -121,8 +121,12 @@ def evaluate_grid(grid: GridSpec) -> Iterator[core.PhaseArrays]:
 
 def evaluate_point(params: CouplingParams) -> ScanRecord:
     """All reported quantities of the thermal state at one coupling point,
-    from the core's scalar twin `core.evaluate_one`; equal to the bit to
-    `core.evaluate` at that point."""
+    from the core's scalar twin; equal to the bit to `core.evaluate` at
+    that point.  A `CouplingParams`' floats are checked already and go
+    straight to `core.evaluate_floats`; any other object, a subclass
+    included, is read as `core.evaluate_one` reads its u and v."""
+    if type(params) is CouplingParams:
+        return core.evaluate_floats(params.u, params.v)
     return core.evaluate_one(params.u, params.v)
 
 

@@ -77,9 +77,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     irregular = (fraction == 0) & (exponent > 1)
     k = (q * 1262611 - 524031 * irregular) >> 22  # floor(log10 of the gap)
     h = (q + ((-k * 1741647) >> 19) + 2).astype(_U)
-    # g for each of the three products below
-    g1, g1_hi, g1_lo, g0_hi, g0_lo = np.take(
-        _pow10_table(), np.tile(-k - _K_MIN, 3), axis=1).reshape(5, 3, -1)
+    # g, one row per value, broadcast against the three products below
+    g1, g1_hi, g1_lo, g0_hi, g0_lo = np.take(_pow10_table(), -k - _K_MIN, axis=1)[:, None]
     # the value and the ends of its rounding interval, in 10**k / 4, rounded
     # to odd: the last bit says whether the product was inexact
     cb = c << _U(2)

@@ -288,18 +288,28 @@ def _read_only_stderr():
     os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
 
 
-@pytest.mark.parametrize("start, u, err", [
+@pytest.mark.parametrize("start, args, err", [
     # Python starts with sys.stdout None: one error line, exit 2
-    (lambda: os.close(1), "3", b"error: cannot write stdout: not open\n"),
+    (lambda: os.close(1), ["--u", "3", "--v", "1"], b"error: cannot write stdout: not open\n"),
     # sys.stderr None: the error line is dropped, not written into the CSV
-    (lambda: os.close(2), "nan", b""),
+    (lambda: os.close(2), ["--u", "nan", "--v", "1"], b""),
+    # sys.stderr None: argparse's usage text is dropped, not written to stdout
+    (lambda: os.close(2), ["--v", "1"], b""),
     # a stderr that cannot be written, as a launcher script can leave fd 2
-    (_read_only_stderr, "nan", b""),
-], ids=["closed-stdout", "closed-stderr", "read-only-stderr"])
-def test_an_unusable_stream_at_start_gets_no_traceback_and_no_error_on_stdout(start, u, err):
-    done = subprocess.run([sys.executable, "-m", "dipolepair", "point", "--u", u, "--v", "1"],
+    (_read_only_stderr, ["--u", "nan", "--v", "1"], b""),
+], ids=["closed-stdout", "closed-stderr", "closed-stderr-usage", "read-only-stderr"])
+def test_an_unusable_stream_at_start_gets_no_traceback_and_no_error_on_stdout(start, args, err):
+    done = subprocess.run([sys.executable, "-m", "dipolepair", "point", *args],
                           capture_output=True, env=child_env(), timeout=60.0, preexec_fn=start)
     assert (done.returncode, done.stdout, done.stderr) == (2, b"", err)
+
+
+def test_help_goes_to_stdout_with_stderr_closed_at_start():
+    done = subprocess.run([sys.executable, "-m", "dipolepair", "point", "--help"],
+                          capture_output=True, env=child_env(), timeout=60.0,
+                          preexec_fn=lambda: os.close(2))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"usage: dipolepair point [-h]")
 
 
 def _default_sigint():

@@ -140,28 +140,25 @@ def test_matches_evaluate_point_at_scattered_points():
                                            dtype=float).view(np.int64))
 
 
-class CountingNumpy:
-    """numpy, with a count of its `exp` calls."""
+@pytest.mark.parametrize("u, v, calls, route", [
+    pytest.param(u, v, calls, route, id=f"{prefix}{u}-{v}-{calls}")
+    for prefix, route in (("", core.evaluate_one),
+                          ("evaluate_point-", lambda u, v: evaluate_point(CouplingParams(u, v))))
+    for u, v, calls in [(3.0, 1.0, 3), (0.0, 0.0, 0)]
+])
+def test_evaluate_one_calls_exp_only_above_the_lowest_level(u, v, calls, route, monkeypatch):
+    # at (3, 1) Psi+ is the one lowest level; at (0, 0) all four are.  The
+    # scalar twin calls np.exp through the name it binds at import
+    want = route(u, v)
+    exp_calls = []
 
-    def __init__(self):
-        self.exp_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def exp(self, x):
-        self.exp_calls += 1
+    def counting_exp(x):
+        exp_calls.append(x)
         return np.exp(x)
 
-
-@pytest.mark.parametrize("u, v, calls", [(3.0, 1.0, 3), (0.0, 0.0, 0)])
-def test_evaluate_one_calls_exp_only_above_the_lowest_level(u, v, calls, monkeypatch):
-    # at (3, 1) Psi+ is the one lowest level; at (0, 0) all four are
-    want = core.evaluate_one(u, v)
-    counting = CountingNumpy()
-    monkeypatch.setattr(core, "np", counting)
-    assert core.evaluate_one(u, v) == want
-    assert counting.exp_calls == calls
+    monkeypatch.setattr(core, "_exp", counting_exp)
+    assert route(u, v) == want
+    assert len(exp_calls) == calls
 
 
 @pytest.mark.parametrize("u, v, message", [
@@ -273,21 +270,47 @@ def test_evaluate_point_does_not_call_the_array_core(monkeypatch):
     assert evaluate_point(p) == want
 
 
-@pytest.mark.parametrize("u, v", [
-    (np.nan, 0.0),
-    (0.0, 2000.5),
-    (0.0, -np.inf),
-    (2500.0, np.nan),
-    (np.inf, 3000.0),
+class UncheckedParams(CouplingParams):
+    """A CouplingParams whose couplings skip the checks."""
+
+    def __init__(self, u, v):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+
+@pytest.mark.parametrize("u, v, params", [
+    pytest.param(u, v, params, id=f"{prefix}{u}-{v}")
+    for prefix, params in (("", SimpleNamespace), ("subclass-", UncheckedParams))
+    for u, v in [(np.nan, 0.0), (0.0, 2000.5), (0.0, -np.inf), (2500.0, np.nan), (np.inf, 3000.0)]
 ])
-def test_evaluate_point_rejects_what_the_array_core_rejects(u, v):
-    # a duck-typed params object skips CouplingParams' checks; the scalar
-    # twin then raises the array core's error, text and order included
+def test_evaluate_point_rejects_what_the_array_core_rejects(u, v, params):
+    # a duck-typed params object or a subclass skips CouplingParams' checks,
+    # so evaluate_point reads it as evaluate_one does, and the scalar twin
+    # then raises the array core's error, text and order included
     with pytest.raises(ValueError) as want:
         core.evaluate(u, v)
     with pytest.raises(ValueError) as got:
-        evaluate_point(SimpleNamespace(u=u, v=v))
+        evaluate_point(params(u=u, v=v))
     assert str(got.value) == str(want.value)
+
+
+def test_evaluate_point_checks_each_coupling_of_a_params_once(monkeypatch):
+    # CouplingParams checks u and v as it is built; evaluate_point takes its
+    # floats as they are, past evaluate_one's reading
+    want = evaluate_point(CouplingParams(3.0, 1.0))
+    calls = []
+
+    def counting(name, x):
+        calls.append(name)
+        return float(x)
+
+    def fail(u, v):
+        raise AssertionError("evaluate_point read a CouplingParams again")
+
+    monkeypatch.setattr(core, "coupling", counting)
+    monkeypatch.setattr(core, "evaluate_one", fail)
+    assert evaluate_point(CouplingParams(3.0, 1.0)) == want
+    assert calls == ["u", "v"]
 
 
 def test_squares_as_python_float_power_does():
