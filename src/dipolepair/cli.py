@@ -117,7 +117,9 @@ def _emit(text: Iterable[str], out_path: str | None) -> None:
         sys.stdout.writelines(text)
         return
     head, tail = os.path.split(out_path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    # the name's first 200 bytes, so the temporary name fits in NAME_MAX (255)
+    short = os.fsdecode(os.fsencode(tail)[:200])
+    tmp = os.path.join(head, f".{short}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(text)

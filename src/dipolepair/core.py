@@ -47,17 +47,15 @@ never dominant); `tests/test_properties.py` asserts those facts over the
 whole envelope.  `evaluate` serves arrays of points as 1-D columns: three
 energies, their least value with Psi-minus's 0.0, four exponentials, the
 partition sum z and the weights, with no (N, 4) matrix and no search.  Its
-scalar twin `evaluate_one` makes the same checks on Python floats for one
-point, where some fifty numpy calls on 1-element arrays would cost several
-times the arithmetic, and equals `evaluate` to the bit.  Both take the
-largest weight as 1/z and the first label with that weight as dominant;
-the twin also skips the exponential known to be 1.0 (see
-`evaluate_floats`) and builds its `ScanRecord`, a named tuple, in one call.
-The twin reads its input once: `evaluate_one` checks the two couplings and
-hands two floats to `evaluate_floats`, the arithmetic alone, which
-`scan.evaluate_point` calls directly with a `CouplingParams`' floats,
-checked when it was built; any other params object is read as
-`evaluate_one` reads its u and v.
+scalar twin `evaluate_floats` is the arithmetic alone on the two Python
+floats of one point, where some fifty numpy calls on 1-element arrays would
+cost several times the arithmetic, and equals `evaluate` to the bit.  Both
+take the largest weight as 1/z and the first label with that weight as
+dominant; the twin also skips the exponential known to be 1.0 and builds
+its `ScanRecord`, a named tuple, in one call.  A single point is read as
+`CouplingParams` reads it, so a 1-element array is not a coupling there;
+`scan.evaluate_point` hands the twin a `CouplingParams`' floats, checked
+when it was built.
 The dense matrices, the channel arithmetic and the sphere quadrature
 behind these closed forms live in `reference`.
 """
@@ -229,7 +227,7 @@ def evaluate(u, v) -> PhaseArrays:
     pp, pm, sp, sm, w_max = _weights(u, v)
     c = (pp - pm + sp - sm, -pp + pm + sp - sm, pp + pm - sp - sm)
     # Python's float ** 2 goes through libm pow, which can differ from x * x
-    # in the last bit; `evaluate_one` squares that way, so this one does too
+    # in the last bit; `evaluate_floats` squares that way, so this one does too
     # (float_power calls pow; np.power and x * x may not)
     a, b, s = (np.float_power(x, 2.0, out=x) for x in c)
     chsh = 2.0 * np.sqrt(np.maximum(np.maximum(a + b, a + s), b + s))
@@ -251,26 +249,10 @@ def evaluate(u, v) -> PhaseArrays:
 _exp, _sqrt, _new = np.exp, math.sqrt, tuple.__new__
 
 
-def evaluate_one(u, v) -> ScanRecord:
-    """`evaluate` at the single point (u, v), as a record of Python floats
-    and the dominant label and region themselves.
-
-    Anything but two plain numbers within the envelope is read as
-    `evaluate` reads it, a 1-element array included, and checked by
-    `coupling`, so an array of another size is worded as `CouplingParams`
-    words it.  The checked floats then go to `evaluate_floats`.
-    """
-    if not (type(u) in _REAL and type(v) in _REAL
-            and abs(u) <= COUPLING_LIMIT and abs(v) <= COUPLING_LIMIT):
-        read = floats("u", u), floats("v", v)  # both, as `evaluate` reads them
-        u, v = (coupling(name, a.item() if a.size == 1 else x)
-                for name, a, x in zip("uv", read, (u, v)))
-    return evaluate_floats(float(u), float(v))
-
-
 def evaluate_floats(u: float, v: float) -> ScanRecord:
-    """`evaluate_one` on two Python floats within the envelope, as
-    `CouplingParams` holds them, with no check of its own.
+    """`evaluate` at the single point (u, v), two Python floats within the
+    envelope as `CouplingParams` holds them, with no check of its own; a
+    record of Python floats and the dominant label and region themselves.
 
     Each value equals the core's to the bit, though two steps are skipped
     because their result is known exactly:

@@ -121,13 +121,13 @@ def evaluate_grid(grid: GridSpec) -> Iterator[core.PhaseArrays]:
 
 def evaluate_point(params: CouplingParams) -> ScanRecord:
     """All reported quantities of the thermal state at one coupling point,
-    from the core's scalar twin; equal to the bit to `core.evaluate` at
-    that point.  A `CouplingParams`' floats are checked already and go
-    straight to `core.evaluate_floats`; any other object, a subclass
-    included, is read as `core.evaluate_one` reads its u and v."""
-    if type(params) is CouplingParams:
-        return core.evaluate_floats(params.u, params.v)
-    return core.evaluate_one(params.u, params.v)
+    from the core's scalar twin `core.evaluate_floats`, equal to the bit to
+    `core.evaluate` there.  A `CouplingParams`' floats were checked as it
+    was built; any other object, a subclass included, is read as
+    `CouplingParams` reads u and v, so a 1-element array is no coupling."""
+    if type(params) is not CouplingParams:
+        params = CouplingParams(params.u, params.v)
+    return core.evaluate_floats(params.u, params.v)
 
 
 def boundary_field(quantity: BoundaryQuantity) -> Callable:

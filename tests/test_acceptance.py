@@ -29,9 +29,11 @@ from dipolepair.scan import (
     GridSpec,
     boundary_field,
     evaluate_grid,
+    evaluate_point,
     trace_boundary,
 )
 from dipolepair.cli import run_cli
+from test_core import twin
 
 GRID41 = GridSpec(-10.0, 10.0, -10.0, 10.0, 41, 41)
 GRID81 = GridSpec(-10.0, 10.0, -10.0, 10.0, 81, 81)
@@ -113,7 +115,7 @@ def test_criterion_4_fidelity_quadrature_matches_closed_form():
         closed = [(1.0 + 2.0 * w[label]) / 3.0 for label in BellLabel]
         # the core's fidelity is the best seed's
         worst = max(worst, *(abs(q - c) for q, c in zip(quads, closed)),
-                    abs(max(quads) - core.evaluate_one(p.u, p.v).fidelity))
+                    abs(max(quads) - evaluate_point(p).fidelity))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 5.0
     report(4, ok,
@@ -123,10 +125,10 @@ def test_criterion_4_fidelity_quadrature_matches_closed_form():
 
 
 def test_criterion_5_strong_coupling_limits():
-    rec = core.evaluate_one(30.0, 0.0)
+    rec = twin(30.0, 0.0)
     weight, neg, chsh, fid = rec.dominant_weight, rec.negativity, rec.chsh, rec.fidelity
-    label_high = core.evaluate_one(-10.0, 10.0).dominant_label
-    label_low = core.evaluate_one(-10.0, -10.0).dominant_label
+    label_high = twin(-10.0, 10.0).dominant_label
+    label_low = twin(-10.0, -10.0).dominant_label
     ok = (
         rec.dominant_label is BellLabel.PSI_PLUS
         and abs(weight - 1.0) < 1e-4
@@ -149,7 +151,7 @@ def test_criterion_6_classical_threshold_and_affine_identity():
     worst = 0.0
     for _ in range(500):
         u, v = rng.uniform(-12.0, 12.0, 2).tolist()
-        rec = core.evaluate_one(u, v)
+        rec = twin(u, v)
         fidelity, weight = rec.fidelity, rec.dominant_weight
         lhs = fidelity - 2.0 / 3.0
         rhs = (2.0 / 3.0) * (weight - 0.5)
@@ -234,7 +236,7 @@ def test_criterion_8_boundary_coincidence_and_nesting():
 def test_criterion_9_degenerate_ground_state():
     w = core.weights(-6.0, 0.0)[0]
     w_plus, w_minus = w[BellLabel.PHI_PLUS], w[BellLabel.PHI_MINUS]
-    rec = core.evaluate_one(-6.0, 0.0)
+    rec = twin(-6.0, 0.0)
     neg_closed, best = rec.negativity, rec.fidelity
     neg_full = negativity(thermal_state(CouplingParams(-6.0, 0.0))).value
     ok = (

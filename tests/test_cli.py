@@ -255,6 +255,19 @@ def test_out_writes_through_a_symlink(target_exists, tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [link, target]
 
 
+@pytest.mark.parametrize("name", ["a" * 250, "a" + "\u00e9" * 124 + "a"],
+                         ids=["ascii", "cut-mid-char"])
+def test_out_takes_a_name_near_the_length_limit(name, tmp_path, capsys):
+    # a 250-byte name is within NAME_MAX (255), though .NAME.PID.tmp is not;
+    # the second name's 200th byte is the first of a two-byte character
+    out = tmp_path / name
+    argv = ["scan", "--u", "0:1:2", "--v", "0:1:2"]
+    _, expected, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == expected.encode()
+    assert list(tmp_path.iterdir()) == [out]
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run(capsys)

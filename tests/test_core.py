@@ -59,6 +59,12 @@ N31 = 0.034446645388522934
 F31 = 0.689631096925682
 
 
+def twin(u, v):
+    """The record of the core's scalar twin at (u, v), through the one
+    reader of a single point."""
+    return evaluate_point(CouplingParams(u, v))
+
+
 def random_params(rng, scale=8.0):
     return CouplingParams(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
 
@@ -84,17 +90,17 @@ def correlations(p):
 
 
 def chsh(p):
-    return core.evaluate_one(p.u, p.v).chsh
+    return evaluate_point(p).chsh
 
 
 def closed_negativity(p):
-    return core.evaluate_one(p.u, p.v).negativity
+    return evaluate_point(p).negativity
 
 
 def fidelity_and_seed(u, v):
     """The core's best average fidelity and the seed (dominant label) that
     reaches it."""
-    rec = core.evaluate_one(u, v)
+    rec = twin(u, v)
     return rec.fidelity, rec.dominant_label
 
 
@@ -132,9 +138,8 @@ def test_matches_evaluate_point_at_scattered_points():
             assert core.LABELS[b.dominant[k]] is rec.dominant_label
             assert core.REGIONS[b.region[k]] is rec.region
             # all eight fields to the bit, which == does not see (0.0 == -0.0)
-            one = core.evaluate_one(uk, vk)
-            fields = [one.u, one.v, one.chsh, one.negativity, one.fidelity,
-                      one.dominant_label, one.dominant_weight, core.REGIONS.index(one.region)]
+            fields = [rec.u, rec.v, rec.chsh, rec.negativity, rec.fidelity,
+                      rec.dominant_label, rec.dominant_weight, core.REGIONS.index(rec.region)]
             assert np.array_equal(np.array(fields, dtype=float).view(np.int64),
                                   np.array([getattr(b, f)[k] for f in vars(b)],
                                            dtype=float).view(np.int64))
@@ -142,11 +147,11 @@ def test_matches_evaluate_point_at_scattered_points():
 
 @pytest.mark.parametrize("u, v, calls, route", [
     pytest.param(u, v, calls, route, id=f"{prefix}{u}-{v}-{calls}")
-    for prefix, route in (("", core.evaluate_one),
-                          ("evaluate_point-", lambda u, v: evaluate_point(CouplingParams(u, v))))
+    for prefix, route in (("", twin),
+                          ("duck-", lambda u, v: evaluate_point(SimpleNamespace(u=u, v=v))))
     for u, v, calls in [(3.0, 1.0, 3), (0.0, 0.0, 0)]
 ])
-def test_evaluate_one_calls_exp_only_above_the_lowest_level(u, v, calls, route, monkeypatch):
+def test_the_twin_calls_exp_only_above_the_lowest_level(u, v, calls, route, monkeypatch):
     # at (3, 1) Psi+ is the one lowest level; at (0, 0) all four are.  The
     # scalar twin calls np.exp through the name it binds at import
     want = route(u, v)
@@ -177,14 +182,19 @@ def test_rejects_couplings_outside_the_envelope(u, v, message):
     (lambda: CouplingParams(np.array([3.0]), 1), "u must be a single number, got array([3.])"),
     (lambda: GridSpec(np.array([0.0]), 1, 0, 1, 2, 2),
      "u_min must be a single number, got array([0.])"),
-    (lambda: core.evaluate_one(np.array([1.0, 2.0]), 0),
+    (lambda: evaluate_point(SimpleNamespace(u=np.array([1.0, 2.0]), v=0)),
      "u must be a single number, got array([1., 2.])"),
-    (lambda: core.evaluate_one(0.0, [1.0, 2.0]), "v must be a single number, got [1.0, 2.0]"),
+    (lambda: evaluate_point(SimpleNamespace(u=0.0, v=[1.0, 2.0])),
+     "v must be a single number, got [1.0, 2.0]"),
+    (lambda: evaluate_point(SimpleNamespace(u=np.array([1.0]), v=0.0)),
+     "u must be a single number, got array([1.])"),
     (lambda: CouplingParams(1.0, np.array([])),
      "v must be a single number, got array([], dtype=float64)"),
-], ids=["params", "grid", "evaluate_one", "evaluate_one-list", "params-empty"])
+], ids=["params", "grid", "evaluate_point", "evaluate_point-list", "evaluate_point-1-element",
+        "params-empty"])
 def test_an_array_of_finite_numbers_is_not_a_coupling(call, message):
-    # every value is finite: the text names the shape, not finiteness
+    # every value is finite: the text names the shape, not finiteness; a
+    # single point is read as CouplingParams reads it, one element or more
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
 
@@ -200,10 +210,10 @@ def test_couplings_that_do_not_broadcast_name_both_shapes(call):
         call()
 
 
-@pytest.mark.parametrize("u", [np.array([1.0]), 1, np.float64(1.0), np.int64(1), "1"])
-def test_evaluate_one_reads_what_evaluate_reads(u):
-    rec = core.evaluate_one(u, 0.0)
-    assert rec == core.evaluate_one(1.0, 0.0) and type(rec.u) is float
+@pytest.mark.parametrize("u", [1, np.float64(1.0), np.int64(1), "1"])
+def test_the_twin_reads_what_evaluate_reads(u):
+    rec = twin(u, 0.0)
+    assert rec == twin(1.0, 0.0) and type(rec.u) is float
 
 
 @pytest.mark.parametrize("call", [
@@ -211,9 +221,9 @@ def test_evaluate_one_reads_what_evaluate_reads(u):
     lambda: GridSpec(0.0, 10 ** 400, 0.0, 1.0, 2, 2),
     lambda: core.evaluate([10 ** 400], [0.0]),
     lambda: core.evaluate(0.0, [0.0, -10 ** 400]),
-    lambda: core.evaluate_one(10 ** 400, 0.0),
+    lambda: evaluate_point(SimpleNamespace(u=10 ** 400, v=0.0)),
     lambda: boundary_field(BoundaryQuantity.CHSH_MINUS_2)(10 ** 400, 0.0),
-], ids=["params", "grid", "evaluate", "evaluate-v", "evaluate_one", "boundary_field"])
+], ids=["params", "grid", "evaluate", "evaluate-v", "evaluate_point", "boundary_field"])
 def test_an_integer_beyond_the_float_range_is_a_value_error(call):
     # float(10 ** 400) raises OverflowError, which is not a ValueError
     with pytest.raises(ValueError, match=r"^(u|v|u_max) must be finite, got an integer too large"):
@@ -231,7 +241,8 @@ FIRST_NUMBER = {
     "params": (lambda x: CouplingParams(x, 1.0), "u must be finite, got {}"),
     "grid": (lambda x: GridSpec(x, 1.0, 0.0, 1.0, 3, 3), "u_min must be finite, got {}"),
     "evaluate": (lambda x: core.evaluate(x, 1.0), "u must be finite, got {}"),
-    "evaluate_one": (lambda x: core.evaluate_one(x, 1.0), "u must be finite, got {}"),
+    "evaluate_point": (lambda x: evaluate_point(SimpleNamespace(u=x, v=1.0)),
+                       "u must be finite, got {}"),
     "boundary_field": (lambda x: boundary_field("chsh")(x, 0.0), "u must be finite, got {}"),
     "bisect_root": (lambda x: bisect_root(lambda t: t - 0.25, x, 1.0, -0.25, 0.75),
                     "bisection bracket ends must be finite"),
@@ -242,13 +253,13 @@ FIRST_NUMBER = {
     (lambda: core.evaluate(1 + 2j, 1.0), r"u must be finite, got \(1\+2j\)"),
     (lambda: core.evaluate(object(), 1.0), "u must be finite, got <object"),
     (lambda: core.evaluate(0.0, [1.0, 1j]), r"v must be finite, got \[1\.0, 1j\]"),
-    (lambda: core.evaluate_one(1 + 2j, 1.0), r"u must be finite, got \(1\+2j\)"),
+    (lambda: evaluate_point(SimpleNamespace(u=1 + 2j, v=1.0)), r"u must be finite, got \(1\+2j\)"),
     (lambda: boundary_field("chsh")(1j, 0.0), "u must be finite, got 1j"),
     (lambda: trace_boundary("chsh", GRID3, tol=None), "tolerance must be a real number, got None"),
     (lambda: trace_boundary("chsh", GRID3, tol="x"), "tolerance must be a real number, got 'x'"),
 ] + [(functools.partial(call, x), re.escape(text.format(reprlib.repr(x))) + "$")
       for call, text in FIRST_NUMBER.values() for x in NOT_REAL.values()],
-    ids=["evaluate-complex", "evaluate-object", "evaluate-v", "evaluate_one",
+    ids=["evaluate-complex", "evaluate-object", "evaluate-v", "evaluate_point",
          "boundary_field", "tol-none", "tol-string"]
     + [f"{entry}-{kind}" for entry in FIRST_NUMBER for kind in NOT_REAL])
 def test_a_non_number_is_a_value_error(call, message):
@@ -285,8 +296,8 @@ class UncheckedParams(CouplingParams):
 ])
 def test_evaluate_point_rejects_what_the_array_core_rejects(u, v, params):
     # a duck-typed params object or a subclass skips CouplingParams' checks,
-    # so evaluate_point reads it as evaluate_one does, and the scalar twin
-    # then raises the array core's error, text and order included
+    # so evaluate_point reads it as CouplingParams does, which raises the
+    # array core's error, text and order included
     with pytest.raises(ValueError) as want:
         core.evaluate(u, v)
     with pytest.raises(ValueError) as got:
@@ -296,7 +307,7 @@ def test_evaluate_point_rejects_what_the_array_core_rejects(u, v, params):
 
 def test_evaluate_point_checks_each_coupling_of_a_params_once(monkeypatch):
     # CouplingParams checks u and v as it is built; evaluate_point takes its
-    # floats as they are, past evaluate_one's reading
+    # floats as they are, with no second reading
     want = evaluate_point(CouplingParams(3.0, 1.0))
     calls = []
 
@@ -304,17 +315,13 @@ def test_evaluate_point_checks_each_coupling_of_a_params_once(monkeypatch):
         calls.append(name)
         return float(x)
 
-    def fail(u, v):
-        raise AssertionError("evaluate_point read a CouplingParams again")
-
     monkeypatch.setattr(core, "coupling", counting)
-    monkeypatch.setattr(core, "evaluate_one", fail)
     assert evaluate_point(CouplingParams(3.0, 1.0)) == want
     assert calls == ["u", "v"]
 
 
 def test_squares_as_python_float_power_does():
-    # evaluate_one squares with Python's x ** 2 (libm pow); on this
+    # evaluate_floats squares with Python's x ** 2 (libm pow); on this
     # draw x * x differs from pow in the last bit somewhere, float_power nowhere
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(-1.0, 1.0, 900_000), rng.uniform(-1e-3, 1e-3, 100_000)])
@@ -324,7 +331,7 @@ def test_squares_as_python_float_power_does():
 
 
 def test_exp_of_one_float_is_exp_of_an_array():
-    # evaluate_one calls np.exp on each of its four Python floats, weights on
+    # evaluate_floats calls np.exp on each of its four Python floats, weights on
     # arrays; the exponents lie in [-2000, 0] over the envelope.  On this
     # draw numpy's one-value loop gives the array loop's bits, math.exp not
     rng = np.random.default_rng(17)
@@ -333,7 +340,7 @@ def test_exp_of_one_float_is_exp_of_an_array():
     np.testing.assert_array_equal(got.view(np.int64), np.exp(x).view(np.int64))
     assert np.any(np.array([math.exp(t) for t in x.tolist()]) != got)
     # so no level's weight exceeds the lowest level's, whose exponent, -0.0
-    # or 0.0, evaluate_one does not pass to np.exp: its value is 1.0
+    # or 0.0, evaluate_floats does not pass to np.exp: its value is 1.0
     assert np.all(got <= 1.0)
     assert float(np.exp(-0.0)) == float(np.exp(0.0)) == 1.0
 
@@ -396,22 +403,22 @@ class TestScanRecord:
             "dominant_label", "region")
 
     def test_is_frozen(self):
-        rec = core.evaluate_one(3.0, 1.0)
+        rec = twin(3.0, 1.0)
         # dataclasses.FrozenInstanceError is an AttributeError too
         with pytest.raises(AttributeError):
             rec.chsh = 0.0
 
     def test_repr(self):
-        assert repr(core.evaluate_one(3.0, 1.0)) == (
+        assert repr(twin(3.0, 1.0)) == (
             "ScanRecord(u=3.0, v=1.0, chsh=1.307064702404812, "
             "negativity=0.034446645388522934, fidelity=0.689631096925682, "
             "dominant_weight=0.5344466453885229, dominant_label=<BellLabel.PSI_PLUS: 2>, "
             "region=<Region.ENTANGLED_LOCAL: 'entangled_local'>)")
 
     def test_pickles_equal_and_hashes_equal(self):
-        rec = core.evaluate_one(3.0, 1.0)
+        rec = twin(3.0, 1.0)
         assert pickle.loads(pickle.dumps(rec)) == rec
-        again = core.evaluate_one(3.0, 1.0)
+        again = twin(3.0, 1.0)
         assert again == rec and hash(again) == hash(rec)
 
     def test_plain_numbers_skip_the_reader(self, monkeypatch):
@@ -422,8 +429,8 @@ class TestScanRecord:
         monkeypatch.setattr(core, "_points", reader)
         CouplingParams(3.0, 1.0)
         evaluate_point(CouplingParams(3.0, 1.0))
-        core.evaluate_one(3, 1)
-        core.evaluate_one(np.float64(3.0), 1.0)
+        evaluate_point(SimpleNamespace(u=3, v=1))
+        evaluate_point(SimpleNamespace(u=np.float64(3.0), v=1.0))
 
 
 class TestSpectrum:
@@ -462,15 +469,15 @@ class TestSpectrum:
         assert float(w.sum()) == pytest.approx(1.0)
 
     def test_dominant_tie_break(self):
-        rec = core.evaluate_one(0.0, 0.0)
+        rec = twin(0.0, 0.0)
         assert rec.dominant_label is BellLabel.PHI_PLUS and rec.dominant_weight == 0.25
-        assert core.evaluate_one(30.0, 0.0).dominant_label is BellLabel.PSI_PLUS
+        assert twin(30.0, 0.0).dominant_label is BellLabel.PSI_PLUS
         # two-way ties: the Phi doublet at (-6, 0), and Phi- with Psi+ at
         # energy -2 at (6, 6), where the first maximal weight is not index 0
         for u, v, label in ((-6.0, 0.0, BellLabel.PHI_PLUS), (6.0, 6.0, BellLabel.PHI_MINUS)):
             w = weights_at(u, v)
             assert sorted(w)[-1] == sorted(w)[-2]
-            assert core.evaluate_one(u, v).dominant_label is label
+            assert twin(u, v).dominant_label is label
             assert core.LABELS[core.evaluate(u, v).dominant[0]] is label
 
 
@@ -522,7 +529,7 @@ class TestChshClosedForm:
         assert chsh(CouplingParams(3.0, 1.0)) == pytest.approx(B31, abs=1e-14)
 
     def test_deep_ground_state_approaches_bound(self):
-        rec = core.evaluate_one(30.0, 0.0)
+        rec = twin(30.0, 0.0)
         assert abs(rec.chsh - CHSH_QUANTUM_BOUND) < 1e-3
         assert rec.region is Region.NONLOCAL
 
