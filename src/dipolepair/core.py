@@ -54,8 +54,8 @@ take the largest weight as 1/z and the first label with that weight as
 dominant; the twin also skips the exponential known to be 1.0 and builds
 its `ScanRecord`, a named tuple, in one call.  A single point is read as
 `CouplingParams` reads it, so a 1-element array is not a coupling there;
-`scan.evaluate_point` hands the twin a `CouplingParams`' floats, checked
-when it was built.
+`scan.evaluate_point` hands the twin the floats a `CouplingParams` checked
+as it was built and holds in its two slots.  Every route checks u before v.
 The dense matrices, the channel arithmetic and the sphere quadrature
 behind these closed forms live in `reference`.
 """
@@ -134,7 +134,7 @@ def coupling(name: str, x) -> float:
     return x
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class CouplingParams:
     """Dimensionless couplings u = Delta/(k_B T), v = eps/(k_B T)."""
 
@@ -142,8 +142,13 @@ class CouplingParams:
     v: float
 
     def __init__(self, u, v):
-        object.__setattr__(self, "u", coupling("u", u))
-        object.__setattr__(self, "v", coupling("v", v))
+        _set_u(self, coupling("u", u))
+        _set_v(self, coupling("v", v))
+
+
+# the slots' own setters, which a frozen class's __setattr__ does not guard:
+# one call each, where object.__setattr__ looks the descriptor up by name
+_set_u, _set_v = CouplingParams.u.__set__, CouplingParams.v.__set__
 
 
 @dataclass(frozen=True)
@@ -176,8 +181,15 @@ class ScanRecord(NamedTuple):
 
 def _points(u, v) -> tuple[np.ndarray, np.ndarray]:
     """u and v broadcast against each other, as flat float arrays with one
-    entry per point."""
-    u, v = floats("u", u), floats("v", v)
+    entry per point; u is read and checked before v, as `CouplingParams` does."""
+    read = []
+    for name, x in (("u", u), ("v", v)):
+        a = floats(name, x)
+        outside = a[~(np.abs(a) <= COUPLING_LIMIT)]
+        if outside.size:  # raises on the first value not finite, else the first beyond
+            coupling(name, outside[np.argmin(np.isfinite(outside))].item())
+        read.append(a)
+    u, v = read
     if u.shape != v.shape:
         try:
             u, v = np.broadcast_arrays(u, v)
@@ -199,13 +211,8 @@ def weights(u, v) -> np.ndarray:
 
 
 def _weights(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`weights` at the points `_points` has read, one column per level in
-    label order, then the largest weight, 1.0 / z (see `evaluate_floats`);
-    checks each coupling within the envelope, u first."""
-    for name, x in (("u", u), ("v", v)):
-        outside = x[~(np.abs(x) <= COUPLING_LIMIT)]
-        if outside.size:  # raises on the first value not finite, else the first beyond
-            coupling(name, outside[np.argmin(np.isfinite(outside))].item())
+    """`weights` at the points `_points` has read and checked, one column per
+    level in label order, then the largest weight, 1.0 / z (see `evaluate_floats`)."""
     e = ((u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0)
     m = np.minimum(np.minimum(np.minimum(e[0], e[1]), e[2]), 0.0)  # Psi-'s level is 0.0
     # exp(-(e - m)): m - e is -(e - m) up to the sign of a zero, whose exp is
@@ -244,9 +251,11 @@ def evaluate(u, v) -> PhaseArrays:
                        dominant_weight=w_max, region=region)
 
 
-# the callables `evaluate_floats` calls, bound once here: one name each, not
-# an attribute looked up on every call
+# the callables and constants `evaluate_floats` uses, bound once here: one
+# name each, not an attribute or a sum looked up on every call
 _exp, _sqrt, _new = np.exp, math.sqrt, tuple.__new__
+(_PP, _PM, _SP, _SM), (_SEPARABLE, _LOCAL, _NONLOCAL) = LABELS, REGIONS
+_CHSH_NONLOCAL = CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL  # nonlocal strictly above
 
 
 def evaluate_floats(u: float, v: float) -> ScanRecord:
@@ -261,13 +270,14 @@ def evaluate_floats(u: float, v: float) -> ScanRecord:
       `np.exp` of one float below 0, at most 1.0, with the bits of the loop
       `weights` runs on arrays (`math.exp` can differ in the last bit).
     - So the largest weight is 1.0 / z, as rounded division by z > 0 keeps
-      that order; `index` finds the first weight equal to it, the tie rule
-      of `np.argmax`.
+      that order; the label is the first of Phi+, Phi- and Psi+ whose weight
+      equals it, else Psi-, the tie rule of `np.argmax`.
     The least energy and the maxima are comparisons, which pick values equal
     to those `min` and `np.maximum` pick, and squares use Python's float
     `**` (libm pow, as `np.float_power` does).
     """
-    e0, e1, e2 = (u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0
+    t = 3.0 * v
+    e0, e1, e2 = (u + t) / 6.0, (u - t) / 6.0, -u / 3.0
     # the least energy, never above Psi-'s 0.0: e0 > 0 and e1 > 0 need u > |3v|, so e2 < 0
     m = e0 if e0 < e1 else e1
     if e2 < m:
@@ -277,8 +287,7 @@ def evaluate_floats(u: float, v: float) -> ScanRecord:
     s2 = 1.0 if e2 == m else float(_exp(-(e2 - m)))
     s3 = 1.0 if m == 0.0 else float(_exp(m))  # m is -(0.0 - m) exactly
     z = ((s0 + s1) + s2) + s3
-    w = (s0 / z, s1 / z, s2 / z, s3 / z)
-    pp, pm, sp, sm = w
+    pp, pm, sp, sm = s0 / z, s1 / z, s2 / z, s3 / z
     a = (pp - pm + sp - sm) ** 2.0
     b = (-pp + pm + sp - sm) ** 2.0
     s = (pp + pm - sp - sm) ** 2.0
@@ -286,10 +295,12 @@ def evaluate_floats(u: float, v: float) -> ScanRecord:
     top = (b + s if a < s else a + b) if a < b else (a + s if b < s else a + b)
     chsh = 2.0 * _sqrt(top)
     w_max = 1.0 / z
-    best = w.index(w_max)
-    negativity = w_max - 0.5 if w_max > 0.5 else 0.0
-    region = (0 if negativity < SEPARABLE_NEGATIVITY_TOL
-              else 2 if chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL else 1)
+    label = _PP if pp == w_max else _PM if pm == w_max else _SP if sp == w_max else _SM
+    negativity, region = 0.0, _SEPARABLE
+    if w_max > 0.5:
+        negativity = w_max - 0.5
+        if negativity >= SEPARABLE_NEGATIVITY_TOL:
+            region = _NONLOCAL if chsh > _CHSH_NONLOCAL else _LOCAL
     # the call ScanRecord's generated __new__ makes, without its Python frame
     return _new(ScanRecord, (u, v, chsh, negativity, (1.0 + 2.0 * w_max) / 3.0,
-                             w_max, LABELS[best], REGIONS[region]))
+                             w_max, label, region))

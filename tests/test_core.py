@@ -16,6 +16,8 @@ import math
 import pickle
 import re
 import reprlib
+import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -394,6 +396,36 @@ class TestCouplingParams:
         monkeypatch.setattr(core, "coupling", counting)
         CouplingParams(3.0, 1.0)
         assert calls == ["u", "v"]
+
+    def test_holds_its_couplings_in_slots(self):
+        # the two floats live in the class's slots, so an instance has no
+        # __dict__ (and takes no weak reference), and a retained one costs no
+        # more memory than one of a plain frozen two-field dataclass
+        @dataclasses.dataclass(frozen=True)
+        class Plain:
+            u: float
+            v: float
+
+        p = CouplingParams(3.0, 1.0)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(p)
+        # a subclass may still set the fields by object.__setattr__
+        q = UncheckedParams(math.inf, "x")
+        assert (q.u, q.v) == (math.inf, "x")
+
+        couplings = [float(k) for k in range(2000)]
+
+        def retained(cls):
+            # the memory traced while the instances are held, floats not included
+            tracemalloc.start()
+            try:
+                kept = [cls(x, x) for x in couplings]  # held until the reading below
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        assert retained(CouplingParams) <= retained(Plain)
 
 
 class TestScanRecord:

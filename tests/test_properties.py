@@ -68,6 +68,19 @@ def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+def twin_and_core(u, v):
+    """The records of the scalar twin behind `evaluate_point` and the array
+    core's columns at the points (u, v), asserted equal, all eight fields to
+    the bit."""
+    records = [evaluate_point(CouplingParams(a, b)) for a, b in zip(u.tolist(), v.tolist())]
+    batch = core.evaluate(u, v)
+    at_one = np.array([[getattr(r, f) for f in FLOATS] for r in records]).T
+    np.testing.assert_array_equal(bits(at_one), bits([getattr(batch, f) for f in FLOATS]))
+    assert [r.dominant_label for r in records] == [core.LABELS[d] for d in batch.dominant]
+    assert [r.region for r in records] == [core.REGIONS[k] for k in batch.region]
+    return records, batch
+
+
 @given(points)
 @example(AXES)
 @example(CORNERS)
@@ -77,13 +90,7 @@ def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
     u, v = np.array(pts).T
     # evaluate_point reads the core's scalar twin; the batch and the fields
     # below read the core
-    records = [evaluate_point(CouplingParams(a, b)) for a, b in pts]
-    at_one = np.array([[getattr(r, f) for f in FLOATS] for r in records]).T
-    batch = core.evaluate(u, v)
-    columns = [getattr(batch, f) for f in FLOATS]
-    np.testing.assert_array_equal(bits(at_one), bits(columns))
-    assert [r.dominant_label for r in records] == [core.LABELS[d] for d in batch.dominant]
-    assert [r.region for r in records] == [core.REGIONS[k] for k in batch.region]
+    records, batch = twin_and_core(u, v)
     expected = {
         BoundaryQuantity.CHSH_MINUS_2: [r.chsh - 2.0 for r in records],
         BoundaryQuantity.NEGATIVITY: [r.dominant_weight - 0.5 for r in records],
@@ -118,10 +125,26 @@ def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
     np.testing.assert_array_equal(batch.dominant, np.argmax(w, axis=1))
     np.testing.assert_array_equal(batch.dominant_weight, w.max(axis=1))
     np.testing.assert_array_equal(batch.fidelity, np.max((1.0 + 2.0 * w) / 3.0, axis=1))
-    for _, _, chsh, negativity, fidelity, _ in (at_one, columns):
-        assert np.all((chsh >= 0.0) & (chsh <= CHSH_QUANTUM_BOUND + 1e-12))
-        assert np.all((negativity >= 0.0) & (negativity <= 0.5))
-        assert np.all((fidelity >= 1.0 / 3.0 - 1e-12) & (fidelity <= 1.0 + 1e-12))
+    # (the twin's values are these to the bit)
+    assert np.all((batch.chsh >= 0.0) & (batch.chsh <= CHSH_QUANTUM_BOUND + 1e-12))
+    assert np.all((batch.negativity >= 0.0) & (batch.negativity <= 0.5))
+    assert np.all((batch.fidelity >= 1.0 / 3.0 - 1e-12) & (batch.fidelity <= 1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("quantity", [BoundaryQuantity.CHSH_MINUS_2, BoundaryQuantity.NEGATIVITY])
+def test_twin_is_the_core_at_contour_roots_and_one_ulp_beside(quantity):
+    # roots are bisected to adjacent floats, so here the CHSH value and the
+    # largest weight sit on 2 and 1/2 to the last bits, and a step of one ulp
+    # crosses them: the points straddle the region thresholds 2 + 1e-12 and
+    # negativity 1e-12, where the twin and the core each branch their own way
+    grid = GridSpec(-12.0, 12.0, -12.0, 12.0, 9, 9)
+    roots = np.array([p for line in trace_boundary(quantity, grid) for p in line.points])
+    assert len(roots) >= 8
+    u, v = roots.T
+    # one ulp either way in u and in v, which includes the step along each root's edge
+    steps = [(u, v)] + [(np.nextafter(u, d), v) for d in (-np.inf, np.inf)] + [
+        (u, np.nextafter(v, d)) for d in (-np.inf, np.inf)]
+    twin_and_core(np.concatenate([a for a, _ in steps]), np.concatenate([b for _, b in steps]))
 
 
 @pytest.mark.parametrize("quantity", list(BoundaryQuantity))
@@ -426,3 +449,20 @@ def test_entry_points_return_or_raise_a_value_error(case):
     # a duck-typed object gives its CouplingParams' record, to the bit: repr tells -0.0 from 0.0
     if name == "evaluate_point":
         assert repr(result) == repr(evaluate_point(CouplingParams(*args)))
+
+
+def test_the_array_core_names_the_coupling_that_couplingparams_names():
+    # a pair with two bad couplings: the array core reads and checks u before
+    # it reads v, as CouplingParams does, so both name the same one.  Arrays of
+    # one or more entries are points to the core but no coupling to
+    # CouplingParams, so only pairs of single values are compared
+    values = [x for x in ODD + [3.0, 1.0] if np.ndim(x) == 0]
+    for u in values:
+        for v in values:
+            try:
+                CouplingParams(u, v)
+            except ValueError as exc:
+                for route in (core.evaluate, core.weights):
+                    with pytest.raises(ValueError) as got:
+                        route(u, v)
+                    assert str(got.value) == str(exc), (u, v, route.__name__)
