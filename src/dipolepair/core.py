@@ -46,7 +46,11 @@ Bell tetrahedron, CHSH in [0, 2 sqrt 2], fidelity in [1/3, 1], Psi-minus
 never dominant); `tests/test_properties.py` asserts those facts over the
 whole envelope.  `evaluate` serves arrays of points as 1-D columns: three
 energies, their least value with Psi-minus's 0.0, four exponentials, the
-partition sum z and the weights, with no (N, 4) matrix and no search.  Its
+partition sum z and the weights, with no (N, 4) matrix and no search.  Each
+formula is written once, in a helper: `_weights`, `_chsh` and
+`_fidelity`.  `evaluate` builds its `PhaseArrays`, a named tuple, from
+them, and each boundary field of `scan` from the fewest of them that its
+quantity needs.  Its
 scalar twin `evaluate_floats` is the arithmetic alone on the two Python
 floats of one point, where some fifty numpy calls on 1-element arrays would
 cost several times the arithmetic, and equals `evaluate` to the bit.  Both
@@ -151,8 +155,7 @@ class CouplingParams:
 _set_u, _set_v = CouplingParams.u.__set__, CouplingParams.v.__set__
 
 
-@dataclass(frozen=True)
-class PhaseArrays:
+class PhaseArrays(NamedTuple):
     """Reported quantities at N coupling points, one 1-D column each;
     `dominant` and `region` are int8 indices into LABELS and REGIONS."""
 
@@ -222,6 +225,22 @@ def _weights(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*(x / z for x in s), 1.0 / z)
 
 
+def _chsh(pp: np.ndarray, pm: np.ndarray, sp: np.ndarray, sm: np.ndarray) -> np.ndarray:
+    """CHSH at each point from the four weight columns: 2 sqrt of the
+    largest sum of two squared correlations."""
+    c = (pp - pm + sp - sm, -pp + pm + sp - sm, pp + pm - sp - sm)
+    # Python's float ** 2 goes through libm pow, which can differ from x * x
+    # in the last bit; `evaluate_floats` squares that way, so this one does too
+    # (float_power calls pow; np.power and x * x may not)
+    a, b, s = (np.float_power(x, 2.0, out=x) for x in c)
+    return 2.0 * np.sqrt(np.maximum(np.maximum(a + b, a + s), b + s))
+
+
+def _fidelity(w_max: np.ndarray) -> np.ndarray:
+    """The best teleportation fidelity (1 + 2 w_max) / 3 at each point."""
+    return (1.0 + 2.0 * w_max) / 3.0
+
+
 def evaluate(u, v) -> PhaseArrays:
     """All reported quantities of the thermal state at each point (u, v),
     with u and v broadcast against each other, one 1-D column each.
@@ -232,12 +251,7 @@ def evaluate(u, v) -> PhaseArrays:
     """
     u, v = _points(u, v)
     pp, pm, sp, sm, w_max = _weights(u, v)
-    c = (pp - pm + sp - sm, -pp + pm + sp - sm, pp + pm - sp - sm)
-    # Python's float ** 2 goes through libm pow, which can differ from x * x
-    # in the last bit; `evaluate_floats` squares that way, so this one does too
-    # (float_power calls pow; np.power and x * x may not)
-    a, b, s = (np.float_power(x, 2.0, out=x) for x in c)
-    chsh = 2.0 * np.sqrt(np.maximum(np.maximum(a + b, a + s), b + s))
+    chsh = _chsh(pp, pm, sp, sm)
     # the first label whose weight is the largest: later labels are overwritten
     dominant = np.full(u.size, 3, np.int8)
     for label, w in ((2, sp), (1, pm), (0, pp)):
@@ -247,7 +261,7 @@ def evaluate(u, v) -> PhaseArrays:
     region[chsh > CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL] = 2
     region[negativity < SEPARABLE_NEGATIVITY_TOL] = 0
     return PhaseArrays(u=u, v=v, chsh=chsh, negativity=negativity,
-                       fidelity=(1.0 + 2.0 * w_max) / 3.0, dominant=dominant,
+                       fidelity=_fidelity(w_max), dominant=dominant,
                        dominant_weight=w_max, region=region)
 
 

@@ -8,7 +8,8 @@ Each grid point is classified into one of three regions:
 
 Three signed boundary fields share the same zero sets as the physically
 interesting transitions: chsh - 2, max_a p_a - 1/2 (signed version of the
-negativity onset) and fidelity - 2/3, all read through `boundary_field`.
+negativity onset) and fidelity - 2/3, all read through `boundary_field`,
+which computes its one column from the core's helpers and no other.
 Grid points are addressed by index, `GridSpec.coords(i, j)` being the one
 rule to coordinates, so no axis is built whole.  Scans, maps and contours
 read the array core; `evaluate_point` reads its scalar twin.  Contours
@@ -17,6 +18,8 @@ cell by cell (marching squares, saddles split by the sign at the centre).
 A crossed edge is (i, j) along (di, dj), (1, 0) or (0, 1), a side of cells
 (i, j) and (i - dj, j - di).  A chsh `boundary` run peaked at 44 MB RSS at
 2001 x 2001 and 81 MB at 4001 x 4001 (2 CPUs, Python 3.11, numpy 2.4).
+`shortest` is imported where rows are formatted, so a `boundary` run, whose
+few roots go through repr, never loads it.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import core, shortest
+from . import core
 from .core import CouplingParams, ScanRecord
 
 GRID_POINT_LIMIT = 10 ** 8
@@ -133,15 +136,17 @@ def evaluate_point(params: CouplingParams) -> ScanRecord:
 def boundary_field(quantity: BoundaryQuantity) -> Callable:
     """Signed field whose zero set is the requested boundary, read from the
     array core; it takes u, v as floats (giving a float) or arrays."""
-    # a column of the core less its threshold; max weight - 1/2 is the signed
-    # distance through the entanglement onset
-    column, threshold = {BoundaryQuantity.CHSH_MINUS_2: ("chsh", 2.0),
-                         BoundaryQuantity.NEGATIVITY: ("dominant_weight", 0.5),
-                         BoundaryQuantity.FIDELITY_MINUS_TWO_THIRDS: ("fidelity", 2.0 / 3.0),
-                         }[BoundaryQuantity(quantity)]
+    # a column of the core less its threshold, computed from the weights by
+    # the helpers `core.evaluate` uses, with no other column; max weight -
+    # 1/2 is the signed distance through the entanglement onset
+    column, threshold = {
+        BoundaryQuantity.CHSH_MINUS_2: (lambda w: core._chsh(*w[:4]), 2.0),
+        BoundaryQuantity.NEGATIVITY: (lambda w: w[4], 0.5),
+        BoundaryQuantity.FIDELITY_MINUS_TWO_THIRDS: (lambda w: core._fidelity(w[4]), 2.0 / 3.0),
+    }[BoundaryQuantity(quantity)]
 
     def field(u, v):
-        values = getattr(core.evaluate(u, v), column) - threshold
+        values = column(core._weights(*core._points(u, v))) - threshold
         values = values.reshape(np.broadcast_shapes(np.shape(u), np.shape(v)))
         return float(values) if values.ndim == 0 else values
 
@@ -334,6 +339,9 @@ def _slice_reprs(b: core.PhaseArrays, columns: list[np.ndarray]
     block, in one call before the slices, its text trimmed to the padding
     it needs; doubles are told apart by their bits, so 0.0 and -0.0 keep
     their own text.  Each slice's columns are formatted in one call."""
+    # here, not at load: a `boundary` run formats no float with it
+    from . import shortest
+
     (u, at_u), (v, at_v) = (np.unique(c.view(np.int64), return_inverse=True)
                             for c in (b.u, b.v))
     coordinates = shortest.reprs(np.concatenate((u, v)).view(np.float64))

@@ -229,7 +229,7 @@ def test_unwritable_out_is_usage_error(command, tmp_path, capsys, monkeypatch):
                        (str(loop), True)):
         with monkeypatch.context() as m:
             if early:
-                m.setattr(core, "evaluate", _no_evaluation)
+                m.setattr(core, "_points", _no_evaluation)  # the read of every array route
             code, stdout, err = run(capsys, *command, "--out", out)
         assert code == 2
         assert stdout == ""

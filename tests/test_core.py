@@ -41,6 +41,11 @@ from dipolepair.scan import (
     trace_boundary,
 )
 
+# the three boundary fields by test id: each reads and words its couplings
+# as the core does, whatever column it computes
+FIELDS = {"boundary_field": BoundaryQuantity.CHSH_MINUS_2,
+          "boundary_field-negativity": BoundaryQuantity.NEGATIVITY,
+          "boundary_field-fidelity": BoundaryQuantity.FIDELITY_MINUS_TWO_THIRDS}
 
 
 def beyond_limit(name: str, x: float) -> str:
@@ -131,7 +136,7 @@ def test_matches_evaluate_point_at_scattered_points():
         assert np.array_equal(b.dominant, np.argmax(w, axis=1))
         assert np.array_equal(b.dominant_weight.view(np.int64), w.max(axis=1).view(np.int64))
         us, vs = (x.tolist() for x in np.broadcast_arrays(*args))
-        assert {len(column) for column in vars(b).values()} == {len(us)}
+        assert {len(column) for column in b._asdict().values()} == {len(us)}
         for k, (uk, vk) in enumerate(zip(us, vs)):
             rec = evaluate_point(CouplingParams(uk, vk))
             assert (b.u[k], b.v[k]) == (rec.u, rec.v)
@@ -143,7 +148,7 @@ def test_matches_evaluate_point_at_scattered_points():
             fields = [rec.u, rec.v, rec.chsh, rec.negativity, rec.fidelity,
                       rec.dominant_label, rec.dominant_weight, core.REGIONS.index(rec.region)]
             assert np.array_equal(np.array(fields, dtype=float).view(np.int64),
-                                  np.array([getattr(b, f)[k] for f in vars(b)],
+                                  np.array([column[k] for column in b._asdict().values()],
                                            dtype=float).view(np.int64))
 
 
@@ -204,8 +209,8 @@ def test_an_array_of_finite_numbers_is_not_a_coupling(call, message):
 @pytest.mark.parametrize("call", [
     lambda: core.evaluate([1.0, 2.0], [1.0, 2.0, 3.0]),
     lambda: core.weights([1.0, 2.0], [1.0, 2.0, 3.0]),
-    lambda: boundary_field("chsh")([1.0, 2.0], [1.0, 2.0, 3.0]),
-], ids=["evaluate", "weights", "boundary_field"])
+] + [lambda q=q: boundary_field(q)([1.0, 2.0], [1.0, 2.0, 3.0]) for q in FIELDS.values()],
+    ids=["evaluate", "weights", *FIELDS])
 def test_couplings_that_do_not_broadcast_name_both_shapes(call):
     with pytest.raises(ValueError, match=r"^u of shape \(2,\) and v of shape \(3,\) do not "
                                          "broadcast together$"):
@@ -224,8 +229,8 @@ def test_the_twin_reads_what_evaluate_reads(u):
     lambda: core.evaluate([10 ** 400], [0.0]),
     lambda: core.evaluate(0.0, [0.0, -10 ** 400]),
     lambda: evaluate_point(SimpleNamespace(u=10 ** 400, v=0.0)),
-    lambda: boundary_field(BoundaryQuantity.CHSH_MINUS_2)(10 ** 400, 0.0),
-], ids=["params", "grid", "evaluate", "evaluate-v", "evaluate_point", "boundary_field"])
+] + [lambda q=q: boundary_field(q)(10 ** 400, 0.0) for q in FIELDS.values()],
+    ids=["params", "grid", "evaluate", "evaluate-v", "evaluate_point", *FIELDS])
 def test_an_integer_beyond_the_float_range_is_a_value_error(call):
     # float(10 ** 400) raises OverflowError, which is not a ValueError
     with pytest.raises(ValueError, match=r"^(u|v|u_max) must be finite, got an integer too large"):
@@ -245,7 +250,8 @@ FIRST_NUMBER = {
     "evaluate": (lambda x: core.evaluate(x, 1.0), "u must be finite, got {}"),
     "evaluate_point": (lambda x: evaluate_point(SimpleNamespace(u=x, v=1.0)),
                        "u must be finite, got {}"),
-    "boundary_field": (lambda x: boundary_field("chsh")(x, 0.0), "u must be finite, got {}"),
+    **{name: (lambda x, q=q: boundary_field(q)(x, 0.0), "u must be finite, got {}")
+       for name, q in FIELDS.items()},
     "bisect_root": (lambda x: bisect_root(lambda t: t - 0.25, x, 1.0, -0.25, 0.75),
                     "bisection bracket ends must be finite"),
 }
@@ -256,13 +262,14 @@ FIRST_NUMBER = {
     (lambda: core.evaluate(object(), 1.0), "u must be finite, got <object"),
     (lambda: core.evaluate(0.0, [1.0, 1j]), r"v must be finite, got \[1\.0, 1j\]"),
     (lambda: evaluate_point(SimpleNamespace(u=1 + 2j, v=1.0)), r"u must be finite, got \(1\+2j\)"),
-    (lambda: boundary_field("chsh")(1j, 0.0), "u must be finite, got 1j"),
+] + [(lambda q=q: boundary_field(q)(1j, 0.0), "u must be finite, got 1j")
+      for q in FIELDS.values()] + [
     (lambda: trace_boundary("chsh", GRID3, tol=None), "tolerance must be a real number, got None"),
     (lambda: trace_boundary("chsh", GRID3, tol="x"), "tolerance must be a real number, got 'x'"),
 ] + [(functools.partial(call, x), re.escape(text.format(reprlib.repr(x))) + "$")
       for call, text in FIRST_NUMBER.values() for x in NOT_REAL.values()],
-    ids=["evaluate-complex", "evaluate-object", "evaluate-v", "evaluate_point",
-         "boundary_field", "tol-none", "tol-string"]
+    ids=["evaluate-complex", "evaluate-object", "evaluate-v", "evaluate_point", *FIELDS,
+         "tol-none", "tol-string"]
     + [f"{entry}-{kind}" for entry in FIRST_NUMBER for kind in NOT_REAL])
 def test_a_non_number_is_a_value_error(call, message):
     # np.asarray(x, dtype=float) and `tol > 0.0` raise TypeError on some of

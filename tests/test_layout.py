@@ -1,6 +1,7 @@
-"""Layout of the package: the production import path loads `core`, `scan`,
-`shortest` and the CLI and nothing else, so it stays free of the
-definition-level oracles; each production module's load-time imports are
+"""Layout of the package: the production import path loads `core`, `scan`
+and the CLI and nothing else, so it stays free of the definition-level
+oracles, and `shortest` loads when a run formats floats with it, which a
+`boundary` run does not; each production module's load-time imports are
 pinned; no module or test file carries an unused import;
 only `core` names the stability limit; the public namespace resolves; and the
 README's library example runs.
@@ -20,12 +21,12 @@ import dipolepair
 
 PACKAGE = Path(dipolepair.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-# production is core, scan, shortest and the CLI; `reference` holds the oracles
+# production is core, scan, shortest and the CLI; `reference` holds the
+# oracles, and `shortest` loads with the first block a run formats
 LOADED = {
-    "import dipolepair": {"dipolepair", "dipolepair.core", "dipolepair.scan",
-                          "dipolepair.shortest"},
+    "import dipolepair": {"dipolepair", "dipolepair.core", "dipolepair.scan"},
     "import dipolepair.cli": {"dipolepair", "dipolepair.cli", "dipolepair.core",
-                              "dipolepair.scan", "dipolepair.shortest"},
+                              "dipolepair.scan"},
 }
 
 
@@ -43,6 +44,18 @@ def loaded_after(statement: str) -> set[str]:
 @pytest.mark.parametrize("statement", ["import dipolepair.cli", "import dipolepair"])
 def test_production_imports_leave_the_oracles_unloaded(statement):
     assert loaded_after(statement) == LOADED[statement]
+
+
+@pytest.mark.parametrize("command, formats", [
+    (["scan", "--u", "0:1:3", "--v", "0:1:3"], True),
+    (["boundary", "--quantity", "negativity", "--u", "-10:10:21", "--v", "-10:10:21"], False),
+], ids=["scan", "boundary"])
+def test_shortest_loads_only_where_floats_are_formatted(command, formats, tmp_path):
+    out = tmp_path / "out.csv"
+    argv = [*command, "--out", str(out)]
+    loaded = loaded_after(f"from dipolepair.cli import run_cli; assert run_cli({argv!r}) == 0")
+    assert len(out.read_text().splitlines()) > 1  # rows beside the header
+    assert ("dipolepair.shortest" in loaded) is formats
 
 
 def unused_imports(source: str) -> list[str]:

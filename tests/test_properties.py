@@ -1,6 +1,7 @@
 """Property-based tests of the invariants the array core and the contour
 tracer must keep: bit equality of the core over a batch, and of the boundary
-fields, with its scalar twin behind `evaluate_point`, and the same error
+fields, with its scalar twin behind `evaluate_point`, and of each field
+with the core's column on couplings broadcast to a grid, and the same error
 from a boundary field on a bad scalar as on an array; the derived invariants
 on the exact values of both (weights a probability vector that never rises
 with energy, correlations in the Bell tetrahedron, CHSH in [0, 2 sqrt 2],
@@ -103,6 +104,17 @@ def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
         scalars = [field(a, b) for a, b in pts]
         assert all(type(x) is float for x in scalars)
         np.testing.assert_array_equal(bits(scalars), bits(want))
+    # u down a column against v along a row: each field keeps the broadcast
+    # shape and equals the core's column less its threshold there
+    crossed = core.evaluate(u[:, None], v)
+    for quantity, want in {
+        BoundaryQuantity.CHSH_MINUS_2: crossed.chsh - 2.0,
+        BoundaryQuantity.NEGATIVITY: crossed.dominant_weight - 0.5,
+        BoundaryQuantity.FIDELITY_MINUS_TWO_THIRDS: crossed.fidelity - 2.0 / 3.0,
+    }.items():
+        values = boundary_field(quantity)(u[:, None], v)
+        assert values.shape == (u.size, v.size)
+        np.testing.assert_array_equal(bits(values), bits(want.reshape(values.shape)))
 
     # the core checks only its inputs; the closed forms guarantee the rest,
     # asserted here on the exact values of the core and its scalar twin.

@@ -149,7 +149,7 @@ def grid_columns(grid):
     """`evaluate_grid`'s blocks joined column by column."""
     blocks = list(evaluate_grid(grid))
     return core.PhaseArrays(**{name: np.concatenate([getattr(b, name) for b in blocks])
-                               for name in vars(blocks[0])})
+                               for name in blocks[0]._asdict()})
 
 
 def bits(x) -> np.ndarray:
