@@ -13,13 +13,13 @@ from .core import (
     CouplingParams,
     Region,
     ScanRecord,
+    evaluate_point,
 )
 from .scan import (
     BoundaryQuantity,
     ContourPolyline,
     GridSpec,
     GridTooLargeError,
-    evaluate_point,
     trace_boundary,
 )
 

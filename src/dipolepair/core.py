@@ -51,15 +51,15 @@ formula is written once, in a helper: `_weights`, `_chsh` and
 `_fidelity`.  `evaluate` builds its `PhaseArrays`, a named tuple, from
 them, and each boundary field of `scan` from the fewest of them that its
 quantity needs.  Its
-scalar twin `evaluate_floats` is the arithmetic alone on the two Python
+scalar twin `evaluate_point` is the arithmetic alone on the two Python
 floats of one point, where some fifty numpy calls on 1-element arrays would
 cost several times the arithmetic, and equals `evaluate` to the bit.  Both
 take the largest weight as 1/z and the first label with that weight as
 dominant; the twin also skips the exponential known to be 1.0 and builds
 its `ScanRecord`, a named tuple, in one call.  A single point is read as
 `CouplingParams` reads it, so a 1-element array is not a coupling there;
-`scan.evaluate_point` hands the twin the floats a `CouplingParams` checked
-as it was built and holds in its two slots.  Every route checks u before v.
+the twin computes on the floats a `CouplingParams` checked as it was built
+and holds in its two slots.  Every route checks u before v.
 The dense matrices, the channel arithmetic and the sphere quadrature
 behind these closed forms live in `reference`.
 """
@@ -215,7 +215,7 @@ def weights(u, v) -> np.ndarray:
 
 def _weights(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """`weights` at the points `_points` has read and checked, one column per
-    level in label order, then the largest weight, 1.0 / z (see `evaluate_floats`)."""
+    level in label order, then the largest weight, 1.0 / z (see `evaluate_point`)."""
     e = ((u + 3.0 * v) / 6.0, (u - 3.0 * v) / 6.0, -u / 3.0)
     m = np.minimum(np.minimum(np.minimum(e[0], e[1]), e[2]), 0.0)  # Psi-'s level is 0.0
     # exp(-(e - m)): m - e is -(e - m) up to the sign of a zero, whose exp is
@@ -230,7 +230,7 @@ def _chsh(pp: np.ndarray, pm: np.ndarray, sp: np.ndarray, sm: np.ndarray) -> np.
     largest sum of two squared correlations."""
     c = (pp - pm + sp - sm, -pp + pm + sp - sm, pp + pm - sp - sm)
     # Python's float ** 2 goes through libm pow, which can differ from x * x
-    # in the last bit; `evaluate_floats` squares that way, so this one does too
+    # in the last bit; `evaluate_point` squares that way, so this one does too
     # (float_power calls pow; np.power and x * x may not)
     a, b, s = (np.float_power(x, 2.0, out=x) for x in c)
     return 2.0 * np.sqrt(np.maximum(np.maximum(a + b, a + s), b + s))
@@ -265,20 +265,23 @@ def evaluate(u, v) -> PhaseArrays:
                        dominant_weight=w_max, region=region)
 
 
-# the callables and constants `evaluate_floats` uses, bound once here: one
+# the callables and constants `evaluate_point` uses, bound once here: one
 # name each, not an attribute or a sum looked up on every call
 _exp, _sqrt, _new = np.exp, math.sqrt, tuple.__new__
 (_PP, _PM, _SP, _SM), (_SEPARABLE, _LOCAL, _NONLOCAL) = LABELS, REGIONS
 _CHSH_NONLOCAL = CHSH_CLASSICAL_BOUND + CHSH_BOUNDARY_TOL  # nonlocal strictly above
 
 
-def evaluate_floats(u: float, v: float) -> ScanRecord:
-    """`evaluate` at the single point (u, v), two Python floats within the
-    envelope as `CouplingParams` holds them, with no check of its own; a
-    record of Python floats and the dominant label and region themselves.
+def evaluate_point(params: CouplingParams) -> ScanRecord:
+    """All reported quantities of the thermal state at one coupling point:
+    `evaluate` there, as a record of Python floats and the dominant label
+    and region themselves.  A `CouplingParams`' floats were checked as it
+    was built; any other object, a subclass included, is read as
+    `CouplingParams` reads u and v, so a 1-element array is no coupling.
 
-    Each value equals the core's to the bit, though two steps are skipped
-    because their result is known exactly:
+    It is the scalar twin of `evaluate`, the arithmetic alone on the two
+    floats.  Each value equals the core's to the bit, though two steps are
+    skipped because their result is known exactly:
     - The level at the least energy is not exponentiated: its exponent is
       0.0 or -0.0, whose `np.exp` is 1.0.  Every other exponential is
       `np.exp` of one float below 0, at most 1.0, with the bits of the loop
@@ -290,6 +293,9 @@ def evaluate_floats(u: float, v: float) -> ScanRecord:
     to those `min` and `np.maximum` pick, and squares use Python's float
     `**` (libm pow, as `np.float_power` does).
     """
+    if type(params) is not CouplingParams:
+        params = CouplingParams(params.u, params.v)
+    u, v = params.u, params.v
     t = 3.0 * v
     e0, e1, e2 = (u + t) / 6.0, (u - t) / 6.0, -u / 3.0
     # the least energy, never above Psi-'s 0.0: e0 > 0 and e1 > 0 need u > |3v|, so e2 < 0

@@ -12,11 +12,12 @@ negativity onset) and fidelity - 2/3, all read through `boundary_field`,
 which computes its one column from the core's helpers and no other.
 Grid points are addressed by index, `GridSpec.coords(i, j)` being the one
 rule to coordinates, so no axis is built whole.  Scans, maps and contours
-read the array core; `evaluate_point` reads its scalar twin.  Contours
-bisect the sign changes along grid edges in lockstep and join the roots
-cell by cell (marching squares, saddles split by the sign at the centre).
-A crossed edge is (i, j) along (di, dj), (1, 0) or (0, 1), a side of cells
-(i, j) and (i - dj, j - di).  A chsh `boundary` run peaked at 44 MB RSS at
+read the array core; a single point is `core.evaluate_point`'s.  Contours
+bisect the sign changes along grid edges in lockstep, each edge bracketed
+by the (u, v) of its two end points, and join the roots cell by cell
+(marching squares, saddles split by the sign at the centre).  A crossed
+edge is (i, j) along (di, dj), (1, 0) or (0, 1), a side of cells (i, j)
+and (i - dj, j - di).  A chsh `boundary` run peaked at 44 MB RSS at
 2001 x 2001 and 81 MB at 4001 x 4001 (2 CPUs, Python 3.11, numpy 2.4).
 `shortest` is imported where rows are formatted, so a `boundary` run, whose
 few roots go through repr, never loads it.
@@ -32,7 +33,6 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import core
-from .core import CouplingParams, ScanRecord
 
 GRID_POINT_LIMIT = 10 ** 8
 DEFAULT_ROOT_TOL = 1e-9
@@ -122,17 +122,6 @@ def evaluate_grid(grid: GridSpec) -> Iterator[core.PhaseArrays]:
     return (core.evaluate(u, v) for u, v in _blocks(grid))
 
 
-def evaluate_point(params: CouplingParams) -> ScanRecord:
-    """All reported quantities of the thermal state at one coupling point,
-    from the core's scalar twin `core.evaluate_floats`, equal to the bit to
-    `core.evaluate` there.  A `CouplingParams`' floats were checked as it
-    was built; any other object, a subclass included, is read as
-    `CouplingParams` reads u and v, so a 1-element array is no coupling."""
-    if type(params) is not CouplingParams:
-        params = CouplingParams(params.u, params.v)
-    return core.evaluate_floats(params.u, params.v)
-
-
 def boundary_field(quantity: BoundaryQuantity) -> Callable:
     """Signed field whose zero set is the requested boundary, read from the
     array core; it takes u, v as floats (giving a float) or arrays."""
@@ -169,8 +158,10 @@ def bisect_root(f: Callable, lo, hi, f_lo, f_hi):
     Purely sign-driven: two fields that are positive multiples of each
     other walk the identical interval sequence and land on the same root.
     Arrays of brackets walk in lockstep, each as it would alone; `f` then
-    maps an array of the four arguments' broadcast shape, and entries of
-    settled brackets are ignored.  Ends and end values must be finite
+    maps an array of the four arguments' broadcast shape to values that
+    need only broadcast against it, and entries of settled brackets are
+    ignored.  So (2, n) brackets of points take an f of the points' (n,)
+    values, with (n,) end values.  Ends and end values must be finite
     floats, or it raises ValueError.
     """
     arrays = []
@@ -242,16 +233,13 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     h, v = (np.nonzero((positive[:grid.nv - dj, :grid.nu - di] != positive[dj:, di:]).T)
             for di, dj in ((1, 0), (0, 1)))
     i, j = np.concatenate((h[0], v[0])), np.concatenate((h[1], v[1]))
-    horizontal = np.arange(i.size) < h[0].size
-    di, dj = horizontal.astype(int), (~horizontal).astype(int)
-    (u0, v0), (u1, v1) = grid.coords(i, j), grid.coords(i + di, j + dj)
-    fixed = np.where(horizontal, v0, u0)
-    along = bisect_root(
-        lambda x: field(np.where(horizontal, x, fixed), np.where(horizontal, fixed, x)),
-        np.where(horizontal, u0, v0), np.where(horizontal, u1, v1),
-        sign[j, i], sign[j + dj, i + di])
-    root_u = np.where(horizontal, along, fixed)
-    root_v = np.where(horizontal, fixed, along)
+    di = np.repeat((1, 0), (h[0].size, v[0].size))
+    dj = 1 - di
+    # bisected as (u, v) pairs: the coordinate an edge holds has lo == hi, and
+    # settles on it at the first step, as 0.5 * (x + x) == x
+    root_u, root_v = bisect_root(lambda x: field(*x), np.stack(grid.coords(i, j)),
+                                 np.stack(grid.coords(i + di, j + dj)),
+                                 sign[j, i], sign[j + dj, i + di])
     residual = np.abs(field(root_u, root_v))
     if not np.all(residual < tol):
         k = int(np.argmax(residual))
@@ -272,7 +260,7 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     beside = np.concatenate(((i < n) & (j < grid.nv - 1), (i >= dj) & (j >= di)))
     key = (4 * cells + sides)[beside]
     order = np.argsort(key)
-    pairs = np.tile(np.arange(along.size), 2)[beside][order].reshape(-1, 2)
+    pairs = np.tile(np.arange(i.size), 2)[beside][order].reshape(-1, 2)
     paired = key[order][::2] // 4  # the cell of each pair
     # a saddle's pairs as sorted join bottom to right and top to left; the
     # sign at the centre keeps them or swaps their second sides
@@ -283,15 +271,15 @@ def trace_boundary(quantity: BoundaryQuantity, grid: GridSpec,
     swap = saddle[(centre >= 0.0) != positive[s_j, s_i]]
     pairs[swap, 1], pairs[swap + 1, 1] = pairs[swap + 1, 1], pairs[swap, 1]
 
-    neighbours: list[list[int]] = [[] for _ in range(along.size)]
+    neighbours: list[list[int]] = [[] for _ in range(i.size)]
     for a, b in pairs.tolist():
         neighbours[a].append(b)
         neighbours[b].append(a)
     points = list(zip(root_u.tolist(), root_v.tolist()))
-    visited = [False] * along.size
+    visited = [False] * i.size
     polylines: list[ContourPolyline] = []
     ends = [e for e, near in enumerate(neighbours) if len(near) == 1]
-    for start in ends + list(range(along.size)):
+    for start in ends + list(range(i.size)):
         if visited[start]:
             continue
         chain, current = [start], start

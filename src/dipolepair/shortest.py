@@ -6,9 +6,7 @@ Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 of that length, from three products with a 126-bit power of ten.  Layout:
 repr's fixed notation, which repr uses while the decimal point position
 lies in (-4, 16].  Exponent notation, subnormals, infinities and nan are
-left to `repr` itself, and so is a call on fewer than _SMALL values, where
-one `repr` per value costs less than the array route's fixed cost.  The
-tables are built on first use.
+left to `repr` itself.  The tables are built on first use.
 """
 from __future__ import annotations
 
@@ -27,10 +25,6 @@ _K_MIN = -292  # smallest power of ten that scales a normal double
 # numpy's temporaries for a few thousand values stay in the CPU cache; in
 # runs of 16384 values each value costs about 1.5 times more
 _RUN = 1 << 12
-# below this many values `repr` costs less than the array route: medians over
-# 9 rounds of mixed coordinates and physics values gave repr 0.29 of the
-# array route's time at 64 values, 0.69 at 256 and 0.98 at 384
-_SMALL = 256
 
 
 @functools.cache
@@ -114,8 +108,6 @@ def reprs(x: np.ndarray) -> np.ndarray:
     """(N, WIDTH) uint8: row i holds repr(float(x[i])) right-aligned and
     NUL-padded on the left."""
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    if x.size < _SMALL:
-        return _by_repr(x)
     if x.size > _RUN:
         return np.concatenate([reprs(run) for run in np.array_split(x, -(-x.size // _RUN))])
     bits = x.view(_U)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from dipolepair import core
-from dipolepair.core import CHSH_QUANTUM_BOUND, BellLabel, CouplingParams
+from dipolepair.core import CHSH_QUANTUM_BOUND, BellLabel, CouplingParams, evaluate_point
 from dipolepair.reference import (
     average_fidelity_quadrature,
     bell_state,
@@ -29,7 +29,6 @@ from dipolepair.scan import (
     GridSpec,
     boundary_field,
     evaluate_grid,
-    evaluate_point,
     trace_boundary,
 )
 from dipolepair.cli import run_cli

@@ -31,13 +31,13 @@ from dipolepair.core import (
     BellLabel,
     CouplingParams,
     Region,
+    evaluate_point,
 )
 from dipolepair.scan import (
     BoundaryQuantity,
     GridSpec,
     bisect_root,
     boundary_field,
-    evaluate_point,
     trace_boundary,
 )
 
@@ -67,8 +67,7 @@ F31 = 0.689631096925682
 
 
 def twin(u, v):
-    """The record of the core's scalar twin at (u, v), through the one
-    reader of a single point."""
+    """The record of the core's scalar twin `evaluate_point` at (u, v)."""
     return evaluate_point(CouplingParams(u, v))
 
 
@@ -114,7 +113,7 @@ def fidelity_and_seed(u, v):
 def test_matches_evaluate_point_at_scattered_points():
     # a block of 4454 points, and a column of u or v against a scalar: the
     # core has one entry per point in every column, and it and its scalar
-    # twin behind evaluate_point agree to the bit.  Beside a seeded draw the
+    # twin evaluate_point agree to the bit.  Beside a seeded draw the
     # block holds the edges of the twin's shortcuts (no np.exp at the
     # lowest level, 1/z as the largest weight): the integer lattice, with
     # exact ties between levels and u = 0, where e2 = -u/3 is -0.0; the same
@@ -330,7 +329,7 @@ def test_evaluate_point_checks_each_coupling_of_a_params_once(monkeypatch):
 
 
 def test_squares_as_python_float_power_does():
-    # evaluate_floats squares with Python's x ** 2 (libm pow); on this
+    # evaluate_point squares with Python's x ** 2 (libm pow); on this
     # draw x * x differs from pow in the last bit somewhere, float_power nowhere
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(-1.0, 1.0, 900_000), rng.uniform(-1e-3, 1e-3, 100_000)])
@@ -340,7 +339,7 @@ def test_squares_as_python_float_power_does():
 
 
 def test_exp_of_one_float_is_exp_of_an_array():
-    # evaluate_floats calls np.exp on each of its four Python floats, weights on
+    # evaluate_point calls np.exp on each of its four Python floats, weights on
     # arrays; the exponents lie in [-2000, 0] over the envelope.  On this
     # draw numpy's one-value loop gives the array loop's bits, math.exp not
     rng = np.random.default_rng(17)
@@ -349,7 +348,7 @@ def test_exp_of_one_float_is_exp_of_an_array():
     np.testing.assert_array_equal(got.view(np.int64), np.exp(x).view(np.int64))
     assert np.any(np.array([math.exp(t) for t in x.tolist()]) != got)
     # so no level's weight exceeds the lowest level's, whose exponent, -0.0
-    # or 0.0, evaluate_floats does not pass to np.exp: its value is 1.0
+    # or 0.0, evaluate_point does not pass to np.exp: its value is 1.0
     assert np.all(got <= 1.0)
     assert float(np.exp(-0.0)) == float(np.exp(0.0)) == 1.0
 

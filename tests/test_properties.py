@@ -1,6 +1,6 @@
 """Property-based tests of the invariants the array core and the contour
 tracer must keep: bit equality of the core over a batch, and of the boundary
-fields, with its scalar twin behind `evaluate_point`, and of each field
+fields, with its scalar twin `evaluate_point`, and of each field
 with the core's column on couplings broadcast to a grid, and the same error
 from a boundary field on a bad scalar as on an array; the derived invariants
 on the exact values of both (weights a probability vector that never rises
@@ -36,6 +36,7 @@ from dipolepair.core import (
     BellLabel,
     CouplingParams,
     Region,
+    evaluate_point,
 )
 from dipolepair.reference import chsh_max_general, fano_marginals, thermal_state
 from dipolepair.scan import (
@@ -46,7 +47,6 @@ from dipolepair.scan import (
     boundary_field,
     dominant_rows,
     evaluate_grid,
-    evaluate_point,
     scan_rows,
     trace_boundary,
 )
@@ -70,7 +70,7 @@ def bits(x) -> np.ndarray:
 
 
 def twin_and_core(u, v):
-    """The records of the scalar twin behind `evaluate_point` and the array
+    """The records of the scalar twin `evaluate_point` and the array
     core's columns at the points (u, v), asserted equal, all eight fields to
     the bit."""
     records = [evaluate_point(CouplingParams(a, b)) for a, b in zip(u.tolist(), v.tolist())]
@@ -89,7 +89,7 @@ def twin_and_core(u, v):
 @example([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
 def test_boundary_fields_equal_evaluate_point_to_the_bit(pts):
     u, v = np.array(pts).T
-    # evaluate_point reads the core's scalar twin; the batch and the fields
+    # evaluate_point is the core's scalar twin; the batch and the fields
     # below read the core
     records, batch = twin_and_core(u, v)
     expected = {
@@ -229,6 +229,13 @@ def test_lockstep_bisection_equals_bisection_one_bracket_at_a_time(rows):
         alone.append(bisect_root(g, a, b, g(a), g(b)))
     assert all(type(x) is float for x in alone)
     np.testing.assert_array_equal(bits(lockstep), bits(alone))
+    # stacked (2, n) brackets of points, as `trace_boundary` bisects edges: a
+    # row with lo == hi settles on its value at once, and the (n,) values of
+    # f and the ends broadcast against the brackets
+    held = np.linspace(-2.0, 2.0, len(rows))
+    points = bisect_root(lambda x: f(x[1]), np.stack((held, lo)), np.stack((held, hi)),
+                         f(lo), f(hi))
+    np.testing.assert_array_equal(bits(points), bits([held, alone]))
 
 
 SWAP = {BellLabel.PHI_PLUS: BellLabel.PHI_MINUS, BellLabel.PHI_MINUS: BellLabel.PHI_PLUS}

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dipolepair import core
-from dipolepair.core import BellLabel, CouplingParams, Region
+from dipolepair import core, scan
+from dipolepair.core import BellLabel, CouplingParams, Region, evaluate_point
 from dipolepair.scan import (
     BLOCK_POINTS,
     BoundaryQuantity,
@@ -19,7 +19,6 @@ from dipolepair.scan import (
     boundary_rows,
     dominant_rows,
     evaluate_grid,
-    evaluate_point,
     scan_rows,
     trace_boundary,
 )
@@ -376,6 +375,13 @@ class TestTraceBoundary:
         for quantity, want in expected.items():
             polys = trace_boundary(quantity, g)
             assert [(p.closed, p.points) for p in polys] == want
+
+    def test_a_saddle_centre_of_exactly_zero_counts_as_positive(self, monkeypatch):
+        # u v is 0.0 at the centre of the one cell: like a grid point's 0.0,
+        # it reads as positive, which joins bottom to right and top to left
+        monkeypatch.setattr(scan, "boundary_field", lambda quantity: lambda u, v: u * v)
+        polys = trace_boundary(BoundaryQuantity.NEGATIVITY, GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 2))
+        assert [p.points for p in polys] == [((0.0, -1.0), (1.0, 0.0)), ((0.0, 1.0), (-1.0, 0.0))]
 
     def test_memory_is_a_few_bytes_per_grid_point(self):
         # a sign byte per point, the crossings and the core's working blocks:
