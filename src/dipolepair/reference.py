@@ -26,8 +26,6 @@ HERMITIAN_INPUT_TOL = 1e-10
 # slack the validators allow on a negativity and on correlation entries
 VALIDATION_TOL = 1e-12
 
-CLASSICAL_DIMENSION = 2
-
 _PAULI = (
     np.eye(2, dtype=complex),
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -108,23 +106,6 @@ def partial_transpose_a(rho) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4).copy()
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigendecomposition of a Hermitian matrix; column k pairs with eigenvalues[k]."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m) -> EigenSystem:
-    """Ascending eigenvalues and eigenvectors of a Hermitian matrix, as
-    `numpy.linalg.eigh` returns them: a degenerate eigenspace's basis and
-    each column's phase are eigh's, and `gibbs` depends on neither."""
-    m = require_hermitian(m)
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return EigenSystem(eigenvalues=vals, eigenvectors=vecs)
-
-
 def gibbs(h) -> np.ndarray:
     """Thermal density matrix e^{-h} / Tr e^{-h} of a dimensionless Hamiltonian.
 
@@ -132,18 +113,12 @@ def gibbs(h) -> np.ndarray:
     stay finite over the whole admissible coupling range instead of
     overflowing for eigenvalue spreads of order 10^3.
     """
-    sys = hermitian_eig(h)
-    w = np.exp(-(sys.eigenvalues - float(sys.eigenvalues.min())))
-    rho = (sys.eigenvectors * w) @ sys.eigenvectors.conj().T
+    m = require_hermitian(h)
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w = np.exp(-(vals - float(vals.min())))
+    rho = (vecs * w) @ vecs.conj().T
     rho /= float(np.trace(rho).real)
     return (rho + rho.conj().T) / 2.0
-
-
-def bloch_to_state(theta: float, phi: float) -> np.ndarray:
-    """Qubit ket cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    return np.array(
-        [math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)], dtype=complex
-    )
 
 
 # -- the dipolar pair as matrices -----------------------------------------
@@ -283,15 +258,18 @@ _BELL_PROJECTORS = {label: projector(bell_state(label)) for label in BellLabel}
 
 @dataclass(frozen=True)
 class BlochAngles:
-    """Bloch-sphere direction at polar angle theta and azimuth phi, as given:
-    two pairs that name one direction give the same density and unit
-    vector, and kets that differ only by a global phase."""
+    """Bloch-sphere direction at polar angle theta and azimuth phi, as given,
+    with its ket, its density matrix (the input `channel_output` takes) and
+    its unit vector: two pairs that name one direction give the same density
+    and unit vector, and kets that differ only by a global phase."""
 
     theta: float
     phi: float
 
     def state(self) -> np.ndarray:
-        return bloch_to_state(self.theta, self.phi)
+        """Qubit ket cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
+        return np.array([math.cos(self.theta / 2.0),
+                         cmath.exp(1j * self.phi) * math.sin(self.theta / 2.0)], dtype=complex)
 
     def density(self) -> np.ndarray:
         return projector(self.state())
@@ -315,19 +293,14 @@ def channel_state(weights) -> np.ndarray:
     return rho
 
 
-def channel_output(weights, k0: BellLabel, angles: BlochAngles) -> np.ndarray:
-    """Teleported qubit state, by direct matrix arithmetic.
+def channel_output(weights, k0: BellLabel, rho_in: np.ndarray) -> np.ndarray:
+    """Teleported qubit state of an input density matrix, or of each in a
+    stack (..., 2, 2) of them, by direct matrix arithmetic.
 
     The four flip probabilities Tr(K_mu rho) and the Pauli conjugations are
     evaluated literally; no relabeling shortcut is taken, so this route can
     back the closed-form fidelities independently.
     """
-    return _teleport(weights, k0, angles.density())
-
-
-def _teleport(weights, k0: BellLabel, rho_in: np.ndarray) -> np.ndarray:
-    """`channel_output` for an input density matrix, or a stack (..., 2, 2)
-    of them."""
     rho = channel_state(weights)
     seed = _BELL_PROJECTORS[BellLabel(k0)]
     flips = np.trace(_LIFTS @ seed @ _LIFTS @ rho, axis1=1, axis2=2).real.tolist()
@@ -361,7 +334,7 @@ def average_fidelity_quadrature(weights, k0: BellLabel, order: int) -> float:
     if order < 2:
         raise ValueError(f"quadrature order must be at least 2, got {order}")
     psi, quad_weights = _product_rule(order)
-    out = _teleport(weights, k0, psi[:, :, None] * psi[:, None, :].conj())
+    out = channel_output(weights, k0, psi[:, :, None] * psi[:, None, :].conj())
     return float(quad_weights @ np.einsum("ki,kij,kj->k", psi.conj(), out, psi).real)
 
 
@@ -380,8 +353,7 @@ def _product_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return psi, weights
 
 
-def minimum_fidelity(dim: int = CLASSICAL_DIMENSION) -> float:
-    """Best classical (measure-and-resend) average fidelity 2/(1 + d)."""
-    if int(dim) != dim or int(dim) < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {dim!r}")
-    return 2.0 / (1.0 + int(dim))
+def minimum_fidelity() -> float:
+    """Best classical (measure-and-resend) average fidelity of a qubit,
+    2/(1 + d) at d = 2."""
+    return 2.0 / 3.0

@@ -148,7 +148,6 @@ def reprs(x: np.ndarray) -> np.ndarray:
 
 
 def _by_repr(x: np.ndarray) -> np.ndarray:
-    """`reprs(x)` from one `repr` call per value, writable as the array
-    route's result is."""
-    return np.frombuffer(bytearray(b"".join(repr(v).encode().rjust(WIDTH, b"\0")
-                                            for v in x.tolist())), np.uint8).reshape(-1, WIDTH)
+    """`reprs(x)` from one `repr` call per value."""
+    return np.frombuffer(b"".join(repr(v).encode().rjust(WIDTH, b"\0")
+                                  for v in x.tolist()), np.uint8).reshape(-1, WIDTH)

@@ -145,7 +145,7 @@ def test_criterion_5_strong_coupling_limits():
 
 
 def test_criterion_6_classical_threshold_and_affine_identity():
-    exact = minimum_fidelity(2) == 2.0 / 3.0
+    exact = minimum_fidelity() == 2.0 / 3.0
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(500):
@@ -157,7 +157,7 @@ def test_criterion_6_classical_threshold_and_affine_identity():
         worst = max(worst, abs(lhs - rhs))
     ok = exact and worst <= 1e-14
     report(6, ok,
-           f"minimum_fidelity(2) == 2/3 exactly: {exact}; affine identity "
+           f"minimum_fidelity() == 2/3 exactly: {exact}; affine identity "
            f"best - 2/3 = (2/3)(max p - 1/2) at 500 random coupling points: "
            f"max dev {worst:.2e} (tol 1e-14)")
 

@@ -357,6 +357,29 @@ def test_a_signal_removes_the_temporary_file(signum, word, tmp_path):
     assert out.read_bytes() == b"old bytes\n"
 
 
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"])
+def test_a_signal_ignored_at_start_stays_ignored(signum, tmp_path):
+    # the signal arrives while the temporary file is written; ignored, it
+    # neither stops the run nor changes what the run writes
+    out = tmp_path / "F"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dipolepair", "scan", "--u", "-10:10:601",
+         "--v", "-10:10:601", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        preexec_fn=lambda: signal.signal(signum, signal.SIG_IGN))
+    try:
+        deadline = time.monotonic() + 30.0
+        while (not list(tmp_path.glob(".F.*.tmp")) and child.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        child.send_signal(signum)
+        stdout, stderr = child.communicate(timeout=30.0)
+    finally:
+        child.kill()
+    assert (child.returncode, stdout, stderr) == (0, b"", b"")
+    assert out.read_bytes().count(b"\n") == 601 ** 2 + 1
+
+
 # numbers at the edges of what the CLI parses: signed zeros, non-finite
 # values, the float range, a subnormal, an integer beyond the float range
 # (which parses as inf), and the stability envelope; all well formed, so

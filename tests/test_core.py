@@ -471,6 +471,45 @@ class TestScanRecord:
         evaluate_point(SimpleNamespace(u=np.float64(3.0), v=1.0))
 
 
+class TestEvaluatePoint:
+    def test_infinite_temperature(self):
+        rec = evaluate_point(CouplingParams(0.0, 0.0))
+        assert rec.chsh == 0.0
+        assert rec.negativity == 0.0
+        assert rec.fidelity == pytest.approx(0.5)
+        assert rec.dominant_label is BellLabel.PHI_PLUS
+        assert rec.dominant_weight == 0.25
+        assert rec.region is Region.SEPARABLE
+
+    def test_entangled_local_point(self):
+        rec = evaluate_point(CouplingParams(3.0, 1.0))
+        assert rec.region is Region.ENTANGLED_LOCAL
+        assert rec.negativity == pytest.approx(0.034446645388522934, abs=1e-14)
+        assert rec.chsh == pytest.approx(1.3070647024048123, abs=1e-14)
+        assert rec.fidelity == pytest.approx(0.689631096925682, abs=1e-14)
+        assert rec.dominant_label is BellLabel.PSI_PLUS
+
+    def test_nonlocal_point(self):
+        rec = evaluate_point(CouplingParams(30.0, 0.0))
+        assert rec.region is Region.NONLOCAL
+        assert rec.chsh > 2.0
+        assert rec.negativity > 0.49
+
+    def test_region_consistency(self):
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            rec = evaluate_point(
+                CouplingParams(rng.uniform(-12, 12), rng.uniform(-12, 12))
+            )
+            if rec.region is Region.SEPARABLE:
+                assert rec.negativity < 1e-12
+            if rec.region is Region.NONLOCAL:
+                assert rec.chsh > 2.0
+                assert rec.negativity > 1e-12
+            if rec.chsh > 2.0 + 1e-12:
+                assert rec.region is Region.NONLOCAL
+
+
 class TestSpectrum:
     def test_zero_couplings_uniform(self):
         np.testing.assert_array_equal(weights(CouplingParams(0.0, 0.0)), [0.25] * 4)

@@ -19,11 +19,9 @@ from dipolepair import core
 from dipolepair.core import CHSH_CLASSICAL_BOUND, CHSH_QUANTUM_BOUND, BellLabel, CouplingParams
 from dipolepair.reference import (
     BlochAngles,
-    EigenSystem,
     NegativityResult,
     average_fidelity_quadrature,
     bell_state,
-    bloch_to_state,
     channel_output,
     channel_state,
     chsh_max_general,
@@ -32,7 +30,6 @@ from dipolepair.reference import (
     gibbs,
     hamiltonian_from_tensor,
     hamiltonian_matrix,
-    hermitian_eig,
     hermiticity_defect,
     kron,
     minimum_fidelity,
@@ -196,56 +193,6 @@ class TestRequireHermitian:
         require_hermitian(m)
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        sys = hermitian_eig(np.diag([3.0, 1.0, 2.0, 0.0]))
-        np.testing.assert_allclose(sys.eigenvalues, [0.0, 1.0, 2.0, 3.0])
-
-    def test_sigma_x(self):
-        sys = hermitian_eig(pauli(1))
-        np.testing.assert_allclose(sys.eigenvalues, [-1.0, 1.0])
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(21)
-        for _ in range(30):
-            m = random_hermitian(rng, 4, scale=3.0)
-            sys = hermitian_eig(m)
-            v = sys.eigenvectors
-            np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
-            np.testing.assert_allclose(
-                (v * sys.eigenvalues) @ v.conj().T, m, atol=1e-12
-            )
-
-    def test_deterministic_on_repeat(self):
-        rng = np.random.default_rng(22)
-        m = random_hermitian(rng, 4)
-        a, b = hermitian_eig(m), hermitian_eig(m)
-        np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
-        np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
-
-    def test_returns_eigh_decomposition(self):
-        rng = np.random.default_rng(23)
-        m = random_hermitian(rng, 4, scale=3.0)
-        vals, vecs = np.linalg.eigh(m)
-        sys = hermitian_eig(m)
-        np.testing.assert_array_equal(sys.eigenvalues, vals)
-        np.testing.assert_array_equal(sys.eigenvectors, vecs)
-
-    def test_degenerate_eigenspace_is_spanned(self):
-        # eigenvalue 1 is twofold degenerate; any basis of its plane will do
-        sys = hermitian_eig(np.diag([1.0, 1.0, 0.0]))
-        np.testing.assert_allclose(sys.eigenvalues, [0.0, 1.0, 1.0])
-        v = sys.eigenvectors[:, 1:]
-        np.testing.assert_allclose(v @ v.conj().T, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-    def test_is_eigensystem_type(self):
-        assert isinstance(hermitian_eig(np.eye(2)), EigenSystem)
-
-
 class TestGibbs:
     def test_zero_hamiltonian(self):
         np.testing.assert_allclose(gibbs(np.zeros((4, 4))), np.eye(4) / 4, atol=1e-15)
@@ -283,6 +230,50 @@ class TestGibbs:
         assert np.all(np.isfinite(rho))
         np.testing.assert_allclose(np.diag(rho).real, [0.0, 0.0, 1.0, 0.0], atol=1e-300)
 
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            gibbs(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            gibbs(np.zeros((2, 3)))
+
+    def test_diagonal_hamiltonian_gives_boltzmann_weights(self):
+        levels = np.array([3.0, 1.0, 2.0, 0.0])
+        boltzmann = np.exp(-levels)
+        np.testing.assert_allclose(
+            gibbs(np.diag(levels)), np.diag(boltzmann / boltzmann.sum()), atol=1e-15
+        )
+
+    def test_sigma_x(self):
+        # e^{-sigma_x} / Tr = (I - tanh(1) sigma_x) / 2
+        np.testing.assert_allclose(
+            gibbs(pauli(1)), (pauli(0) - math.tanh(1.0) * pauli(1)) / 2.0, atol=1e-15
+        )
+
+    def test_degenerate_levels_share_weight(self):
+        # eigenvalue 1 is twofold degenerate; any basis of its plane gives
+        # the same state
+        e = math.exp(-1.0)
+        np.testing.assert_allclose(
+            gibbs(np.diag([1.0, 1.0, 0.0])),
+            np.diag([e, e, 1.0]) / (1.0 + 2.0 * e),
+            atol=1e-15,
+        )
+
+    def test_deterministic_on_repeat(self):
+        h = random_hermitian(np.random.default_rng(22), 4, scale=3.0)
+        np.testing.assert_array_equal(gibbs(h), gibbs(h))
+
+    def test_slightly_asymmetric_input_gives_an_exactly_hermitian_state(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            h = random_hermitian(rng, 4, scale=3.0)
+            skew = 1e-12 * np.triu(rng.standard_normal((4, 4)), 1)
+            rho = gibbs(h + skew)
+            np.testing.assert_array_equal(rho, rho.conj().T)
+            np.testing.assert_allclose(rho, gibbs(h), atol=1e-11)
+
 
 class TestDensityValidation:
     def test_accepts_bell_projector(self):
@@ -299,17 +290,17 @@ class TestDensityValidation:
 
 class TestBlochState:
     def test_poles_and_equator(self):
-        np.testing.assert_allclose(bloch_to_state(0.0, 0.0), [1.0, 0.0])
-        np.testing.assert_allclose(bloch_to_state(math.pi, 0.0), [0.0, 1.0], atol=1e-16)
+        np.testing.assert_allclose(BlochAngles(0.0, 0.0).state(), [1.0, 0.0])
+        np.testing.assert_allclose(BlochAngles(math.pi, 0.0).state(), [0.0, 1.0], atol=1e-16)
         s = 1.0 / math.sqrt(2.0)
-        np.testing.assert_allclose(bloch_to_state(math.pi / 2, 0.0), [s, s])
+        np.testing.assert_allclose(BlochAngles(math.pi / 2, 0.0).state(), [s, s])
 
     def test_matches_bloch_vector(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             theta = rng.uniform(-8.0, 8.0)
             phi = rng.uniform(-8.0, 8.0)
-            psi = bloch_to_state(theta, phi)
+            psi = BlochAngles(theta, phi).state()
             rho = projector(psi)
             n = [float(np.trace(rho @ pauli(k)).real) for k in (1, 2, 3)]
             expected = [
@@ -320,7 +311,7 @@ class TestBlochState:
             np.testing.assert_allclose(n, expected, atol=1e-12)
 
     def test_normalized(self):
-        psi = bloch_to_state(2.3, -4.5)
+        psi = BlochAngles(2.3, -4.5).state()
         assert abs(np.vdot(psi, psi).real - 1.0) < 1e-15
 
 
@@ -368,7 +359,7 @@ class TestSpectrum:
         p = CouplingParams(3.0, 1.0)
         np.testing.assert_allclose(energies(p), [1.0, 0.0, -1.0, 0.0])
         np.testing.assert_allclose(
-            hermitian_eig(hamiltonian_matrix(p)).eigenvalues, [-1.0, 0.0, 0.0, 1.0],
+            np.linalg.eigvalsh(hamiltonian_matrix(p)), [-1.0, 0.0, 0.0, 1.0],
             atol=1e-15,
         )
 
@@ -603,16 +594,17 @@ class TestChannelOutput:
         rng = np.random.default_rng(64)
         for _ in range(20):
             ang = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            out = channel_output(PURE_PSI_PLUS, BellLabel.PSI_PLUS, ang)
+            out = channel_output(PURE_PSI_PLUS, BellLabel.PSI_PLUS, ang.density())
             np.testing.assert_allclose(out, ang.density(), atol=1e-14)
 
     def test_uniform_resource_depolarizes(self):
-        out = channel_output(weights_at(0.0, 0.0), BellLabel.PSI_PLUS, BlochAngles(1.0, 2.0))
+        out = channel_output(weights_at(0.0, 0.0), BellLabel.PSI_PLUS,
+                             BlochAngles(1.0, 2.0).density())
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-15)
 
     def test_frozen_equatorial_output(self):
         ang = BlochAngles(math.pi / 2, 0.0)
-        out = channel_output(weights_at(3.0, 1.0), BellLabel.PSI_PLUS, ang)
+        out = channel_output(weights_at(3.0, 1.0), BellLabel.PSI_PLUS, ang.density())
         assert bloch_vector(out)[0] == pytest.approx(BLOCHX31, abs=1e-13)
         assert fidelity_pointwise(ang, out) == pytest.approx(FPOINT31, abs=1e-13)
 
@@ -626,7 +618,7 @@ class TestChannelOutput:
                 q = w[list(relabeled)]
                 lam = 2.0 * (q[0] + q[1:]) - 1.0
                 ang = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-                out = channel_output(w, k0, ang)
+                out = channel_output(w, k0, ang.density())
                 np.testing.assert_allclose(
                     bloch_vector(out), lam * ang.unit_vector(), atol=1e-12
                 )
@@ -641,19 +633,50 @@ class TestChannelOutput:
             for _ in range(5):
                 ang = BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
                 s = pauli(mu)
-                out = channel_output(w, BellLabel.PHI_PLUS, ang)
+                out = channel_output(w, BellLabel.PHI_PLUS, ang.density())
                 np.testing.assert_allclose(out, s @ ang.density() @ s, atol=1e-14)
         x_eigenstate = BlochAngles(math.pi / 2, 0.0)
         w = np.zeros(4)
         w[BellLabel.PSI_PLUS] = 1.0
-        out = channel_output(w, BellLabel.PHI_PLUS, x_eigenstate)
+        out = channel_output(w, BellLabel.PHI_PLUS, x_eigenstate.density())
         np.testing.assert_allclose(out, x_eigenstate.density(), atol=1e-15)
 
     def test_invalid_weights_rejected(self):
         # a negative weight, one too few, and a sum other than 1
         for w in ([0.7, 0.5, -0.2, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.3, 0.3]):
             with pytest.raises(ValueError):
-                channel_output(w, BellLabel.PSI_PLUS, BlochAngles(1.0, 2.0))
+                channel_output(w, BellLabel.PSI_PLUS, BlochAngles(1.0, 2.0).density())
+
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(65)
+        w = random_weights(rng)
+        stack = np.array([
+            BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)).density()
+            for _ in range(6)
+        ]).reshape(2, 3, 2, 2)
+        out = channel_output(w, BellLabel.PHI_MINUS, stack)
+        assert out.shape == (2, 3, 2, 2)
+        for index in np.ndindex(2, 3):
+            np.testing.assert_allclose(
+                out[index], channel_output(w, BellLabel.PHI_MINUS, stack[index]), atol=1e-15
+            )
+
+    def test_mixed_inputs_map_linearly(self):
+        # the channel is unital, and a mixture of inputs goes to the same
+        # mixture of outputs
+        rng = np.random.default_rng(68)
+        for label in BellLabel:
+            w = random_weights(rng)
+            np.testing.assert_allclose(
+                channel_output(w, label, np.eye(2) / 2), np.eye(2) / 2, atol=1e-15
+            )
+            a, b = (BlochAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)).density()
+                    for _ in range(2))
+            np.testing.assert_allclose(
+                channel_output(w, label, 0.3 * a + 0.7 * b),
+                0.3 * channel_output(w, label, a) + 0.7 * channel_output(w, label, b),
+                atol=1e-15,
+            )
 
 
 class TestFidelityPointwise:
@@ -710,19 +733,19 @@ class TestBestFidelity:
         best, seed = fidelity_and_seed(3.0, 1.0)
         assert seed is BellLabel.PSI_PLUS
         assert best == pytest.approx(F31, abs=1e-14)
-        assert best > minimum_fidelity(2)
+        assert best > minimum_fidelity()
 
     def test_degenerate_doublet_stays_classical(self):
         best, seed = fidelity_and_seed(-6.0, 0.0)
         assert best == pytest.approx(BEST_MINUS6, abs=1e-14)
-        assert best < minimum_fidelity(2)
+        assert best < minimum_fidelity()
         assert seed is BellLabel.PHI_PLUS  # tie falls to canonical order
 
     def test_uniform_resource_tie(self):
         best, seed = fidelity_and_seed(0.0, 0.0)
         assert best == pytest.approx(0.5)
         assert seed is BellLabel.PHI_PLUS
-        assert best < minimum_fidelity(2)
+        assert best < minimum_fidelity()
 
     def test_best_is_max_over_all_seeds(self):
         # the core's fidelity is the best of the four seeds' sphere averages,
@@ -738,15 +761,12 @@ class TestBestFidelity:
 
 class TestMinimumFidelity:
     def test_qubit_value(self):
-        assert minimum_fidelity(2) == 2.0 / 3.0
+        assert minimum_fidelity() == 2.0 / 3.0
 
-    def test_qutrit_value(self):
-        assert minimum_fidelity(3) == pytest.approx(0.5)
-
-    def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError):
-            minimum_fidelity(1)
-
-    def test_rejects_fractional_dimension(self):
-        with pytest.raises(ValueError):
-            minimum_fidelity(2.5)
+    def test_classically_correlated_resource_reaches_it(self):
+        # an even mix of Psi+ and Psi- is (|01><01| + |10><10|)/2, separable,
+        # and teleports at the classical bound
+        w = [0.0, 0.0, 0.5, 0.5]
+        assert negativity(channel_state(w)).value == pytest.approx(0.0, abs=1e-15)
+        q = average_fidelity_quadrature(w, BellLabel.PSI_PLUS, 3)
+        assert q == pytest.approx(minimum_fidelity(), abs=1e-14)
