@@ -1,12 +1,16 @@
 """repr of whole float64 arrays: `reprs(x)` gives the bytes of repr(x[i])
 for every entry from numpy uint64 arithmetic, not one Python call each.
 
-Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
-2020) finds the shortest decimal that rounds to the double, and the closest
-of that length, from three products with a 126-bit power of ten.  Layout:
-repr's fixed notation, which repr uses while the decimal point position
-lies in (-4, 16].  Exponent notation, subnormals, infinities and nan are
-left to `repr` itself.  The tables are built on first use.
+Digits: Dragonbox (J. Jeon, "Dragonbox: A New Floating-Point
+Binary-to-Decimal Conversion Algorithm", 2020) finds the shortest decimal
+that rounds to the double, and the closest of that length, from one
+product of the upper end of its rounding interval with a power of ten; a
+second product, of the lower end or the value, decides the rare ties.
+Layout: repr's fixed notation, which repr uses for magnitudes from 1e-4
+up to 1e16.  Only those doubles get digits here: in their 68 binades the
+powers of ten the algorithm needs, 10**2..10**22, are exact in 64 bits.
+Exponent notation, subnormals, infinities and nan are left to `repr`
+itself.  The tables are built on first use.
 """
 from __future__ import annotations
 
@@ -18,24 +22,32 @@ WIDTH = 24  # the longest repr of a double: '-1.2345678901234567e-308'
 
 _U = np.uint64
 _M32 = _U(0xFFFF_FFFF)
+_M52 = _U((1 << 52) - 1)
 _M63 = _U((1 << 63) - 1)
-_ONE_BITS = np.array(1.0).view(_U)
+# the magnitudes that repr writes in fixed notation, as bits: [1e-4, 1e16)
+_FIXED_FROM, _FIXED_TO = np.array([1e-4, 1e16]).view(_U)
+_FIELD_MIN = 1009  # the exponent field of 1e-4; 1e16 lies in field 1076
+# digits for the other values, which are overwritten: a double whose digits
+# take the common path and end in no zero
+_STAND_IN = np.array(1.0000000000000002).view(_U)
 _POW10 = np.array([10 ** i for i in range(18)], dtype=_U)
-_K_MIN = -292  # smallest power of ten that scales a normal double
 # numpy's temporaries for a few thousand values stay in the CPU cache; in
 # runs of 16384 values each value costs about 1.5 times more
 _RUN = 1 << 12
 
 
 @functools.cache
-def _pow10_table() -> np.ndarray:
-    """Rows g1, g1 >> 32, g1 & M32, g0 >> 32, g0 & M32 for e = -292..324,
-    where g1 2**63 + g0 = floor(10**e 2**-r) + 1 lies in [2**125, 2**126)."""
-    g = np.array([(10 ** max(e, 0) << max(-r, 0)) // (10 ** max(-e, 0) << max(r, 0)) + 1
-                  for e in range(_K_MIN, 325)
-                  for r in [((e * 1741647) >> 19) - 125]])  # floor(log2 10**e) - 125
-    g1, g0 = (g >> 63).astype(_U), (g & ((1 << 63) - 1)).astype(_U)
-    return np.stack((g1, g1 >> _U(32), g1 & _M32, g0 >> _U(32), g0 & _M32))
+def _binade_table() -> tuple[np.ndarray, np.ndarray]:
+    """By exponent field 1009..1076, where a double is f 2**e with 2**52 <=
+    f < 2**53: uint64 rows g >> 32, g & M32 and g, for g = 10**k 2**(e + 54)
+    with Dragonbox's k = 2 - floor(log10 2**e), that is the width of the
+    rounding interval times 10**k in units of 2**-54, an integer below 2**64
+    here; and the int64 row 3 - k, the decimal exponent of a result with
+    one digit dropped."""
+    ek = [(e, 2 - ((e * 315653) >> 20)) for e in range(_FIELD_MIN - 1075, 1077 - 1075)]
+    g = [(10 ** k << (66 + e)) >> 12 for e, k in ek]
+    return (np.array([[x >> 32 for x in g], [x & 0xFFFF_FFFF for x in g], g], dtype=_U),
+            np.array([3 - k for _, k in ek], dtype=np.int64))
 
 
 @functools.cache
@@ -52,48 +64,66 @@ def _layout_table() -> np.ndarray:
     return masks.view("<u8").transpose(0, 2, 1).reshape(9, -1)
 
 
-def _mulhi(a1, a0, b1, b0):
-    """High word of (a1 2**32 + a0)(b1 2**32 + b0), from 32-bit limbs."""
+def _mulhi(a, b1, b0):
+    """High word of a (b1 2**32 + b0), from 32-bit limbs."""
+    a1, a0 = a >> _U(32), a & _M32
     lo, m1, m2 = a0 * b0, a1 * b0, a0 * b1
     mid = (lo >> _U(32)) + (m1 & _M32) + (m2 & _M32)
     return a1 * b1 + (m1 >> _U(32)) + (m2 >> _U(32)) + (mid >> _U(32))
 
 
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, e): f 10**e is the shortest decimal that rounds to each positive
-    normal double, the closest of that length; f may end in zeros.  Figure
-    7 of the paper, with the constants of Java's DoubleToDecimal."""
-    exponent = (bits >> _U(52)).astype(np.int64)
-    fraction = bits & _U((1 << 52) - 1)
-    c = fraction | _U(1 << 52)
-    q = exponent - 1075
-    # at a power of two the gap below is half the gap above
-    irregular = (fraction == 0) & (exponent > 1)
-    k = (q * 1262611 - 524031 * irregular) >> 22  # floor(log10 of the gap)
-    h = (q + ((-k * 1741647) >> 19) + 2).astype(_U)
-    # g, one row per value, broadcast against the three products below
-    g1, g1_hi, g1_lo, g0_hi, g0_lo = np.take(_pow10_table(), -k - _K_MIN, axis=1)[:, None]
-    # the value and the ends of its rounding interval, in 10**k / 4, rounded
-    # to odd: the last bit says whether the product was inexact
-    cb = c << _U(2)
-    cp = np.stack((cb - _U(2) + irregular, cb, cb + _U(2))) << h
-    cp1, cp0 = cp >> _U(32), cp & _M32
-    z = ((g1 * cp) >> _U(1)) + _mulhi(g0_hi, g0_lo, cp1, cp0)
-    vbl, vb, vbr = (_mulhi(g1_hi, g1_lo, cp1, cp0) + (z >> _U(63))) | (
-        ((z & _M63) + _M63) >> _U(63))
-    odd = c & _U(1)  # an odd significand excludes the interval's ends
-    lower, upper = vbl + odd, vbr - odd
-    s = vb >> _U(2)
-    sp = s // _U(10)
-    # one digit fewer: sp or sp + 1 at 10**(k + 1), if just one is inside
-    upin = lower <= sp * _U(40)
-    wpin = sp * _U(40) + _U(40) <= upper
-    # else s or s + 1: the one inside, or the closer, or the even one
-    uin = lower <= s << _U(2)
-    win = (s << _U(2)) + _U(4) <= upper
-    up = np.where(uin != win, win, vb + (s & _U(1)) > (s << _U(2)) + _U(2))
-    short = upin != wpin
-    return np.where(short, sp + wpin, s + up), k + short
+def _parity(two_f, binade):
+    """Dragonbox's parity product: whether the integer part of two_f 2**(e
+    - 1) 10**k is odd, and whether it is an integer."""
+    low = two_f * _binade_table()[0][2, binade]
+    return (low >> _U(55)) & _U(1) == _U(1), low << _U(9) == _U(0)
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, e, point): f 10**e is the shortest decimal that rounds to each
+    positive double in [1e-4, 1e16), the closest of that length, and f ends
+    in no zero; point is e plus the digits of f.  Dragonbox's case of
+    round to nearest, ties to even; its other steps do not occur in these
+    binades: an end of the interval is an integer only from 2**50,
+    and never there a multiple of 10**3; and at a power of two the shorter
+    interval below gives the same digits, as the tests check for each."""
+    binade = (bits >> _U(52)) - _U(_FIELD_MIN)
+    g1, g0 = np.take(_binade_table()[0][:2], binade, axis=1)
+    fraction = bits & _M52
+    # zi: the interval's upper end (2 f + 1) 2**(e - 1) times 10**k, rounded
+    # down; with the multiple of 10**3 below it inside, one digit goes
+    zi = _mulhi((fraction << _U(10)) | _U(1 << 62 | 1 << 9), g1, g0)
+    s = zi // _U(1000)
+    r = zi - s * _U(1000)
+    delta = g1 >> _U(22)  # the interval's width times 10**k, rounded down
+    small = r > delta
+    # rare: r == delta, where the multiple and the lower end have one
+    # integer part or the lower end's is one less, odd, with the multiple
+    # inside
+    tie = np.flatnonzero(r == delta)
+    small[tie] = ~_parity(((fraction[tie] | _U(1 << 52)) << _U(1)) - _U(1), binade[tie])[0]
+    # else the value rounded to a multiple of 100: zi - delta / 2 + 50
+    dist = r - (delta >> _U(1)) + _U(50)
+    digit = dist // _U(100)
+    f = np.where(small, s * _U(10) + digit, s)
+    # rare: that rounding is within one of a tie; the value's own parity
+    # says which side, and at an exact tie f goes to the even neighbour
+    near = np.flatnonzero(small & (digit * _U(100) == dist))
+    odd, integer = _parity((fraction[near] | _U(1 << 52)) << _U(1), binade[near])
+    f[near] -= (odd != ((dist[near] ^ _U(50)) & _U(1) == _U(1))) | (
+        integer & (f[near] & _U(1) == _U(1)))
+    e = np.take(_binade_table()[1], binade) - small
+    point = e + 15 + (f >= _POW10[15]) + (f >= _POW10[16])  # f has 15 to 17 digits
+    # only a result with one digit dropped can end in zeros; numpy's // by
+    # a constant is several times faster than its %
+    zero_ended = np.flatnonzero(~small)
+    zero_ended = zero_ended[f[zero_ended] // _U(10) * _U(10) == f[zero_ended]]
+    while zero_ended.size:
+        f[zero_ended] //= _U(10)
+        e[zero_ended] += 1
+        last = f[zero_ended]
+        zero_ended = zero_ended[last // _U(10) * _U(10) == last]
+    return f, e, point
 
 
 @functools.cache
@@ -112,17 +142,8 @@ def reprs(x: np.ndarray) -> np.ndarray:
         return np.concatenate([reprs(run) for run in np.array_split(x, -(-x.size // _RUN))])
     bits = x.view(_U)
     magnitude = bits & _M63
-    normal = (magnitude >= _U(1 << 52)) & (magnitude < _U(0x7FF << 52))
-    f, e = _shortest(np.where(normal, magnitude, _ONE_BITS))
-    # numpy's // by a constant is several times faster than its %
-    zero_ended = np.flatnonzero(f // _U(10) * _U(10) == f)
-    while zero_ended.size:
-        f[zero_ended] //= _U(10)
-        e[zero_ended] += 1
-        last = f[zero_ended]
-        zero_ended = zero_ended[last // _U(10) * _U(10) == last]
-    point = e + np.searchsorted(_POW10, f, side="right")  # digits before the point
-    fixed = normal & (point > -4) & (point <= 16)  # else repr writes an exponent
+    fixed = (magnitude >= _FIXED_FROM) & (magnitude < _FIXED_TO)
+    f, e, point = _shortest(np.where(fixed, magnitude, _STAND_IN))
     if not fixed.all():  # zeros become "0.0"; `repr` writes the others below
         f[~fixed], e[~fixed], point[~fixed] = 0, 0, 1
     fraction = np.maximum(-e, 1)

@@ -1,10 +1,11 @@
 """Layout of the package: the production import path loads `core`, `scan`
 and the CLI and nothing else, so it stays free of the definition-level
 oracles, and `shortest` loads when a run formats floats with it, which a
-`boundary` run does not; each production module's load-time imports are
-pinned; no module or test file carries an unused import;
-only `core` names the stability limit; the public namespace resolves; and the
-README's library example runs.
+`boundary` run does not, builds its tables on first use, not at import,
+and folds no constant wide enough to poll for signals; each production
+module's load-time imports are pinned; no module or test file carries an
+unused import; only `core` names the stability limit; the public
+namespace resolves; and the README's library example runs.
 
 Standard library only, so the checks run wherever the test suite does.
 """
@@ -30,15 +31,19 @@ LOADED = {
 }
 
 
-def loaded_after(statement: str) -> set[str]:
-    """Names of the dipolepair modules a fresh interpreter holds after
-    running `statement`."""
-    code = (f"import sys; {statement}; "
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'dipolepair'))")
+def fresh_output(code: str) -> list[str]:
+    """The words a fresh interpreter prints running `code`."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    return set(done.stdout.split())
+    return done.stdout.split()
+
+
+def loaded_after(statement: str) -> set[str]:
+    """Names of the dipolepair modules a fresh interpreter holds after
+    running `statement`."""
+    return set(fresh_output(f"import sys; {statement}; print(*sorted(m for m in sys.modules "
+                            "if m.split('.')[0] == 'dipolepair'))"))
 
 
 @pytest.mark.parametrize("statement", ["import dipolepair.cli", "import dipolepair"])
@@ -56,6 +61,28 @@ def test_shortest_loads_only_where_floats_are_formatted(command, formats, tmp_pa
     loaded = loaded_after(f"from dipolepair.cli import run_cli; assert run_cli({argv!r}) == 0")
     assert len(out.read_text().splitlines()) > 1  # rows beside the header
     assert ("dipolepair.shortest" in loaded) is formats
+
+
+def test_importing_shortest_builds_no_table():
+    # its tables are built on first use, so a `point`, `scan` or `dominant`
+    # child pays for them only when it formats
+    sizes = fresh_output("import dipolepair.shortest as s; print(*(f.cache_info().currsize "
+                         "for f in vars(s).values() if hasattr(f, 'cache_info')))")
+    assert sizes and set(sizes) == {"0"}
+
+
+def test_shortest_folds_no_wide_constant_product():
+    # `shortest` loads after `cli.main` installs its SIGINT and SIGTERM
+    # handlers, and is compiled then when no bytecode is cached.  CPython's
+    # constant folding of a product or power beyond one 30-bit digit polls
+    # for signals and drops any exception but KeyboardInterrupt, so a
+    # signal landing there would be lost and the run would not stop
+    tree = ast.parse((PACKAGE / "shortest.py").read_text())
+    wide = [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Pow))
+            and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)
+            and abs(eval(compile(ast.Expression(node), "", "eval"))) >= 2 ** 30]
+    assert wide == []
 
 
 def unused_imports(source: str) -> list[str]:
