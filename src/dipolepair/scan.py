@@ -368,7 +368,7 @@ def scan_rows(blocks: Iterable[core.PhaseArrays],
 def boundary_rows(polylines: Iterable[ContourPolyline]) -> Iterator[str]:
     """CSV lines for traced contours, one newline-terminated row per point.
     Floats go through repr: a trace has far fewer roots than its grid has
-    points, too few to pay for the tables of `shortest`."""
+    points, too few to pay for loading `shortest`, which builds its tables."""
     yield BOUNDARY_HEADER + "\n"
     for contour_id, poly in enumerate(polylines):
         for u, v in poly.points:

@@ -10,11 +10,9 @@ Layout: repr's fixed notation, which repr uses for magnitudes from 1e-4
 up to 1e16.  Only those doubles get digits here: in their 68 binades the
 powers of ten the algorithm needs, 10**2..10**22, are exact in 64 bits.
 Exponent notation, subnormals, infinities and nan are left to `repr`
-itself.  The tables are built on first use.
+itself.  The tables are module data, built as the module loads.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -26,7 +24,8 @@ _M52 = _U((1 << 52) - 1)
 _M63 = _U((1 << 63) - 1)
 # the magnitudes that repr writes in fixed notation, as bits: [1e-4, 1e16)
 _FIXED_FROM, _FIXED_TO = np.array([1e-4, 1e16]).view(_U)
-_FIELD_MIN = 1009  # the exponent field of 1e-4; 1e16 lies in field 1076
+# their exponent fields, 1009 and 1076, bound the binades that get digits
+_FIELD_MIN, _FIELD_MAX = int(_FIXED_FROM) >> 52, int(_FIXED_TO) >> 52
 # digits for the other values, which are overwritten: a double whose digits
 # take the common path and end in no zero
 _STAND_IN = np.array(1.0000000000000002).view(_U)
@@ -35,33 +34,31 @@ _POW10 = np.array([10 ** i for i in range(18)], dtype=_U)
 # runs of 16384 values each value costs about 1.5 times more
 _RUN = 1 << 12
 
+# By exponent field, where a double is f 2**e with 2**52 <= f < 2**53, and
+# Dragonbox's k = 2 - floor(log10 2**e): the width of the rounding interval
+# times 10**k in units of 2**-54, 10**k 2**(e + 54), an integer below 2**64
+# here, and its 32-bit limbs; and 3 - k, the decimal exponent of a result
+# with one digit dropped
+_E_K = [(e, 2 - ((e * 315653) >> 20)) for e in range(_FIELD_MIN - 1075, _FIELD_MAX - 1074)]
+_INTERVAL = np.array([(10 ** k << (66 + e)) >> 12 for e, k in _E_K], dtype=_U)
+_INTERVAL_HI, _INTERVAL_LO = _INTERVAL >> _U(32), _INTERVAL & _M32
+_SHORT_EXPONENT = np.array([3 - k for _, k in _E_K], dtype=np.int64)
 
-@functools.cache
-def _binade_table() -> tuple[np.ndarray, np.ndarray]:
-    """By exponent field 1009..1076, where a double is f 2**e with 2**52 <=
-    f < 2**53: uint64 rows g >> 32, g & M32 and g, for g = 10**k 2**(e + 54)
-    with Dragonbox's k = 2 - floor(log10 2**e), that is the width of the
-    rounding interval times 10**k in units of 2**-54, an integer below 2**64
-    here; and the int64 row 3 - k, the decimal exponent of a result with
-    one digit dropped."""
-    ek = [(e, 2 - ((e * 315653) >> 20)) for e in range(_FIELD_MIN - 1075, 1077 - 1075)]
-    g = [(10 ** k << (66 + e)) >> 12 for e, k in ek]
-    return (np.array([[x >> 32 for x in g], [x & 0xFFFF_FFFF for x in g], g], dtype=_U),
-            np.array([3 - k for _, k in ek], dtype=np.int64))
-
-
-@functools.cache
-def _layout_table() -> np.ndarray:
-    """Nine rows by code (fraction digits - 1) * 32 + (integer digits - 1)
-    * 2 + sign: three words keeping the fraction digits of a right-aligned
-    text, three keeping its integer digits, three with its point and sign."""
-    code, col = np.arange(20 * 32)[:, None], np.arange(WIDTH)
-    dot = (WIDTH - 1) - (code // 32 + 1)
-    start = dot - (code // 2 % 16 + 1)
-    ff, period, minus = np.array([0xFF, ord("."), ord("-")], np.uint8)
-    masks = np.stack(((col > dot) * ff, ((col >= start) & (col < dot)) * ff,
-                      (col == dot) * period | ((col == start - 1) & (code % 2 == 1)) * minus))
-    return masks.view("<u8").transpose(0, 2, 1).reshape(9, -1)
+# Nine rows by code (fraction digits - 1) * 32 + (integer digits - 1) * 2 +
+# sign: three words keeping the fraction digits of a right-aligned text,
+# three keeping its integer digits, three with its point and sign
+_CODE, _COLUMN = np.arange(20 * 32)[:, None], np.arange(WIDTH)
+_DOT = (WIDTH - 1) - (_CODE // 32 + 1)  # the column of the point
+_START = _DOT - (_CODE // 2 % 16 + 1)  # the column of the first integer digit
+_FF, _PERIOD, _MINUS = np.array([0xFF, ord("."), ord("-")], np.uint8)
+_LAYOUT = np.stack((
+    (_COLUMN > _DOT) * _FF, ((_COLUMN >= _START) & (_COLUMN < _DOT)) * _FF,
+    (_COLUMN == _DOT) * _PERIOD | ((_COLUMN == _START - 1) & (_CODE % 2 == 1)) * _MINUS,
+)).view("<u8").transpose(0, 2, 1).reshape(9, -1)
+# the 4 zero-padded digits of 0..9999 as little-endian bytes: byte i of
+# entry n is the digit of n that counts 10**(3 - i)
+_ASCII4 = sum(np.ix_(*[np.arange(ord("0"), ord("9") + 1, dtype=_U) << _U(8 * i)
+                       for i in range(4)])).ravel()
 
 
 def _mulhi(a, b1, b0):
@@ -75,7 +72,7 @@ def _mulhi(a, b1, b0):
 def _parity(two_f, binade):
     """Dragonbox's parity product: whether the integer part of two_f 2**(e
     - 1) 10**k is odd, and whether it is an integer."""
-    low = two_f * _binade_table()[0][2, binade]
+    low = two_f * _INTERVAL[binade]
     return (low >> _U(55)) & _U(1) == _U(1), low << _U(9) == _U(0)
 
 
@@ -88,7 +85,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and never there a multiple of 10**3; and at a power of two the shorter
     interval below gives the same digits, as the tests check for each."""
     binade = (bits >> _U(52)) - _U(_FIELD_MIN)
-    g1, g0 = np.take(_binade_table()[0][:2], binade, axis=1)
+    g1, g0 = np.take(_INTERVAL_HI, binade), np.take(_INTERVAL_LO, binade)
     fraction = bits & _M52
     # zi: the interval's upper end (2 f + 1) 2**(e - 1) times 10**k, rounded
     # down; with the multiple of 10**3 below it inside, one digit goes
@@ -112,7 +109,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     odd, integer = _parity((fraction[near] | _U(1 << 52)) << _U(1), binade[near])
     f[near] -= (odd != ((dist[near] ^ _U(50)) & _U(1) == _U(1))) | (
         integer & (f[near] & _U(1) == _U(1)))
-    e = np.take(_binade_table()[1], binade) - small
+    e = np.take(_SHORT_EXPONENT, binade) - small
     point = e + 15 + (f >= _POW10[15]) + (f >= _POW10[16])  # f has 15 to 17 digits
     # only a result with one digit dropped can end in zeros; numpy's // by
     # a constant is several times faster than its %
@@ -124,14 +121,6 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         last = f[zero_ended]
         zero_ended = zero_ended[last // _U(10) * _U(10) == last]
     return f, e, point
-
-
-@functools.cache
-def _ascii4() -> np.ndarray:
-    """The 4 zero-padded digits of 0..9999 as little-endian bytes."""
-    n = np.arange(10000, dtype=np.uint16)
-    digits = np.stack((n // 1000, n // 100 % 10, n // 10 % 10, n % 10), axis=1).astype(np.uint8)
-    return (digits + np.uint8(ord("0"))).view("<u4").ravel().astype(_U)
 
 
 def reprs(x: np.ndarray) -> np.ndarray:
@@ -155,9 +144,9 @@ def reprs(x: np.ndarray) -> np.ndarray:
     digits[0] = _U(0x3030303030303030) + (top // _U(10 ** 8) << _U(56))
     eights = np.stack((top - top // _U(10 ** 8) * _U(10 ** 8), f - top * _U(10 ** 8)))
     fours = eights // _U(10000)
-    digits[1:3] = _ascii4()[fours] | _ascii4()[eights - fours * _U(10000)] << _U(32)
+    digits[1:3] = _ASCII4[fours] | _ASCII4[eights - fours * _U(10000)] << _U(32)
     code = (fraction - 1) * 32 + (np.maximum(point, 1) - 1) * 2 + (bits >> _U(63)).astype(int)
-    keep_fraction, keep_integer, marks = np.take(_layout_table(), code, axis=1).reshape(3, 3, -1)
+    keep_fraction, keep_integer, marks = np.take(_LAYOUT, code, axis=1).reshape(3, 3, -1)
     # the integer digits sit one byte left of their place in `digits`
     words = (digits[:3] & keep_fraction) | marks | (
         ((digits[:3] >> _U(8)) | (digits[1:] << _U(56))) & keep_integer)

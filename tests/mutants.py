@@ -14,7 +14,11 @@ CPUs.  A change that adds a bit-preserving shortcut adds its row here.
 
 Left out as equivalent: the negativity tie (`>=` and `<` against
 SEPARABLE_NEGATIVITY_TOL in `core`), which no input reaches, since for
-w_max in [0.5, 1] `w_max - 0.5` is a multiple of 2**-53 and 1e-12 is not.
+w_max in [0.5, 1] `w_max - 0.5` is a multiple of 2**-53 and 1e-12 is not;
+dropping the `_RUN` split of `reprs` altogether, which changes its speed
+but no byte of its output (splitting it wrongly is a row below); and
+`bisect_root`'s reads of its end values, `> 0.0` after `== 0.0`, whose
+`>=` twins see no zero.
 """
 import os
 import shutil
@@ -25,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHORTEST, CORE = "src/dipolepair/shortest.py", "src/dipolepair/core.py"
+SCAN, CLI = "src/dipolepair/scan.py", "src/dipolepair/cli.py"
+ENVELOPE = "--u -2000:2000:41 --v -2000:2000:41"
 TWIN_TESTS = ["tests/test_core.py"]
 
 # (file, old text, new text, why the tests must fail, tests to run)
@@ -43,12 +49,22 @@ MUTANTS = [
      "f has 15 to 17 digits, so two compares count them", ["tests/test_shortest.py"]),
     (SHORTEST, "(magnitude < _FIXED_TO)", "(magnitude <= _FIXED_TO)",
      "repr writes 1e16 in exponent notation", ["tests/test_shortest.py"]),
-    ("src/dipolepair/scan.py", "(centre >= 0.0)", "(centre > 0.0)",
+    (SHORTEST, "-(-x.size // _RUN)", "x.size // _RUN",
+     "a run of more than _RUN values splits into runs of at most _RUN",
+     ["tests/test_shortest.py::test_reprs_equal_repr_on_random_bit_patterns"]),
+    (SCAN, "(centre >= 0.0)", "(centre > 0.0)",
      "the grid's signs count a zero as positive, and so does a saddle's centre",
      ["tests/test_scan.py::TestTraceBoundary"]),
-    ("src/dipolepair/cli.py", "if handler is not signal.SIG_IGN:", "if True:",
+    (SCAN, "positive = sign >= 0", "positive = sign > 0",
+     "a zero at a grid point sides with the positive ones, as at a saddle's centre",
+     [f"tests/test_golden.py::test_cli_output_hash[boundary --quantity {q} {ENVELOPE}]"
+      for q in ("chsh", "negativity", "fidelity")]),
+    (CLI, "if handler is not signal.SIG_IGN:", "if True:",
      "a signal ignored at start stays ignored",
      ["tests/test_cli.py::test_a_signal_ignored_at_start_stays_ignored"]),
+    (CLI, "if os.path.exists(tmp):\n            os.unlink(tmp)", "pass",
+     "a failed run leaves no temporary file beside --out",
+     ["tests/test_cli.py::TestScanCommand::test_failed_scan_keeps_existing_out_file"]),
     (CORE, "label = _PP if pp == w_max else _PM if pm == w_max else _SP if sp == w_max else _SM",
      "label = _SM if sm == w_max else _SP if sp == w_max else _PM if pm == w_max else _PP",
      "the twin's ties fall to the earlier label, as np.argmax's do", TWIN_TESTS),

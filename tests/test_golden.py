@@ -16,6 +16,15 @@ The exponent-notation grid and the subnormal `point` were pinned before
 floats came to be formatted from vectorised shortest round-trip digits:
 its coordinates lie on both sides of repr's switch to exponent notation
 at 1e-4, and its `chsh` column is written in exponent notation.
+The pinned bits are those of numpy's AVX-512 `exp`, which numpy 2.x takes
+on a CPU that has AVX-512.  NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR" makes numpy call libm's `exp`, as on a CPU without AVX-512,
+which differs from it in the last bit at about 3% of inputs; tier-1 then
+fails 8 tests: here the `boundary` chsh and fidelity hashes on the local
+grid and the four cases of `test_rows_are_unchanged_across_block_edges`,
+`test_scan.py::TestTraceBoundary::test_saddle_cell_pairs_sides_by_the_centre_sign`,
+and `test_core.py::test_exp_of_one_float_is_exp_of_an_array`, whose check
+that `math.exp` differs from `np.exp` somewhere fails when both are libm's.
 """
 import hashlib
 

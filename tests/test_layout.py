@@ -1,9 +1,9 @@
 """Layout of the package: the production import path loads `core`, `scan`
 and the CLI and nothing else, so it stays free of the definition-level
-oracles, and `shortest` loads when a run formats floats with it, which a
-`boundary` run does not, builds its tables on first use, not at import,
-and folds no constant wide enough to poll for signals; each production
-module's load-time imports are pinned; no module or test file carries an
+oracles, and `shortest`, whose tables are built as it loads, loads when a
+run formats floats with it, which a `boundary` run does not, and folds no
+constant wide enough to poll for signals; each production module's
+load-time imports are pinned; no module or test file carries an
 unused import; only `core` names the stability limit; the public
 namespace resolves; and the README's library example runs.
 
@@ -53,22 +53,18 @@ def test_production_imports_leave_the_oracles_unloaded(statement):
 
 @pytest.mark.parametrize("command, formats", [
     (["scan", "--u", "0:1:3", "--v", "0:1:3"], True),
+    (["dominant", "--u", "0:1:3", "--v", "0:1:3"], True),
+    (["point", "--u", "3", "--v", "1"], True),
     (["boundary", "--quantity", "negativity", "--u", "-10:10:21", "--v", "-10:10:21"], False),
-], ids=["scan", "boundary"])
+], ids=["scan", "dominant", "point", "boundary"])
 def test_shortest_loads_only_where_floats_are_formatted(command, formats, tmp_path):
+    # stdout goes to a file, since `point` has no --out
     out = tmp_path / "out.csv"
-    argv = [*command, "--out", str(out)]
-    loaded = loaded_after(f"from dipolepair.cli import run_cli; assert run_cli({argv!r}) == 0")
+    loaded = loaded_after(f"sys.stdout = open({str(out)!r}, 'w'); from dipolepair.cli import "
+                          f"run_cli; assert run_cli({command!r}) == 0; sys.stdout.close(); "
+                          "sys.stdout = sys.__stdout__")
     assert len(out.read_text().splitlines()) > 1  # rows beside the header
     assert ("dipolepair.shortest" in loaded) is formats
-
-
-def test_importing_shortest_builds_no_table():
-    # its tables are built on first use, so a `point`, `scan` or `dominant`
-    # child pays for them only when it formats
-    sizes = fresh_output("import dipolepair.shortest as s; print(*(f.cache_info().currsize "
-                         "for f in vars(s).values() if hasattr(f, 'cache_info')))")
-    assert sizes and set(sizes) == {"0"}
 
 
 def test_shortest_folds_no_wide_constant_product():
@@ -150,7 +146,7 @@ LOAD_TIME_IMPORTS = {
     "cli.py": {"argparse", "os", "sys", "typing"},
     "core.py": {"dataclasses", "enum", "math", "numpy", "reprlib", "typing"},
     "scan.py": {"dataclasses", "enum", "numbers", "numpy", "reprlib", "typing"},
-    "shortest.py": {"functools", "numpy"},
+    "shortest.py": {"numpy"},
 }
 
 
